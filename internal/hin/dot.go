@@ -35,46 +35,3 @@ func WriteSchemaDOT(w io.Writer, s *Schema) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// WriteGraphDOT renders a (small) instance graph as a Graphviz digraph,
-// one color-coded edge style per link type and weights as labels. Graphs
-// above maxEntities are rejected - DOT rendering of large networks is a
-// mistake, not a feature.
-func WriteGraphDOT(w io.Writer, g *Graph, maxEntities int) error {
-	if maxEntities <= 0 {
-		maxEntities = 200
-	}
-	if g.NumEntities() > maxEntities {
-		return fmt.Errorf("hin: refusing to render %d entities as DOT (max %d)",
-			g.NumEntities(), maxEntities)
-	}
-	colors := []string{"black", "blue", "red", "darkgreen", "orange", "purple"}
-	var b strings.Builder
-	b.WriteString("digraph g {\n")
-	for v := 0; v < g.NumEntities(); v++ {
-		id := EntityID(v)
-		label := g.Label(id)
-		if label == "" {
-			label = fmt.Sprintf("#%d", v)
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", v, label)
-	}
-	for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
-		ltid := LinkTypeID(lt)
-		color := colors[lt%len(colors)]
-		weighted := g.Schema().LinkType(ltid).Weighted
-		for v := 0; v < g.NumEntities(); v++ {
-			tos, ws := g.OutEdges(ltid, EntityID(v))
-			for j, to := range tos {
-				if weighted {
-					fmt.Fprintf(&b, "  n%d -> n%d [color=%s, label=\"%d\"];\n", v, to, color, ws[j])
-				} else {
-					fmt.Fprintf(&b, "  n%d -> n%d [color=%s];\n", v, to, color)
-				}
-			}
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}

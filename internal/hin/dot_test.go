@@ -34,37 +34,3 @@ func TestWriteSchemaDOT(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteGraphDOT(t *testing.T) {
-	g := buildToy(t)
-	var b strings.Builder
-	if err := WriteGraphDOT(&b, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"digraph g",
-		"n0 -> n1",
-		`label="5"`, // mention strength
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("graph DOT missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWriteGraphDOTSizeGuard(t *testing.T) {
-	s := MustSchema([]EntityType{{Name: "N"}}, []LinkType{})
-	b := NewBuilder(s)
-	for i := 0; i < 10; i++ {
-		b.AddEntity(0, "")
-	}
-	g, _ := b.Build()
-	var sb strings.Builder
-	if err := WriteGraphDOT(&sb, g, 5); err == nil {
-		t.Fatal("oversized DOT render accepted")
-	}
-	if err := WriteGraphDOT(&sb, g, 10); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -190,12 +190,13 @@ type edge struct {
 // serially - before any worker runs - from the stage stream, with fixed
 // shard boundaries (genShardUsers) or fixed task identity (community
 // index, link type). Workers only consume pre-derived streams and write
-// to pre-assigned slots. Edges are then handed to the Builder per link
-// type in ascending order, each type's buffer stably sorted by
-// (src, dst); ties (duplicate pairs, merged by summed strength at Build)
-// keep task order. The AddEntity/AddEdge sequence is therefore fully
-// specified, not an accident of scheduling: Generate(cfg) is
-// byte-identical for every Workers and GOMAXPROCS value.
+// to pre-assigned slots. Edges are then handed to the Builder in task
+// order (community tasks first, then background shards in ascending user
+// order), and the Builder's output does not depend on edge order at all:
+// rows are sorted and duplicate pairs merged by summed strength at Build.
+// The AddEntity/AddEdge sequence is therefore fully specified, not an
+// accident of scheduling: Generate(cfg) is byte-identical for every
+// Workers and GOMAXPROCS value.
 func Generate(cfg Config) (*Dataset, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
@@ -708,30 +709,28 @@ func genBackgroundShard(cfg Config, inCommunity []bool, weighted bool, lo, hi in
 	return out
 }
 
-// mergeEdges feeds every task's edges into the Builder under the
-// specified ordering invariant: link types ascending, each type's
-// concatenated buffers (community tasks first, then background shards,
-// both in creation order) stably sorted by (src, dst). Duplicate pairs
-// merge at Build by summing strengths, which is order-independent, so
-// this ordering is about making the AddEdge sequence reproducible and
-// reviewable rather than an accident of task layout.
+// mergeEdges feeds every task's edges into the Builder in task order
+// (community tasks first, then background shards in ascending user order),
+// straight from the task buffers: each link type's edge columns are sized
+// once from the counted totals, and each buffer is released once fed.
+// Build's output depends only on the multiset of edges per link type, so
+// no sort is needed here; task order just keeps the AddEdge sequence
+// reproducible.
 func mergeEdges(b *hin.Builder, schema *hin.Schema, tasks []*edgeTask) error {
-	perType := make([][]edge, schema.NumLinkTypes())
+	perType := make([]int, schema.NumLinkTypes())
 	for _, t := range tasks {
-		perType[t.lt] = append(perType[t.lt], t.out...)
+		perType[t.lt] += len(t.out)
 	}
-	for lt, edges := range perType {
-		slices.SortStableFunc(edges, func(a, b edge) int {
-			if a.src != b.src {
-				return int(a.src) - int(b.src)
-			}
-			return int(a.dst) - int(b.dst)
-		})
-		for _, e := range edges {
-			if err := b.AddEdge(hin.LinkTypeID(lt), e.src, e.dst, e.w); err != nil {
+	for lt, n := range perType {
+		b.GrowEdges(hin.LinkTypeID(lt), n)
+	}
+	for _, t := range tasks {
+		for _, e := range t.out {
+			if err := b.AddEdge(t.lt, e.src, e.dst, e.w); err != nil {
 				return err
 			}
 		}
+		t.out = nil
 	}
 	return nil
 }

@@ -12,7 +12,8 @@ import (
 
 // fingerprint hashes everything observable about a dataset: entity labels
 // and attributes, tag sets, every edge (with strength) of every link
-// type, the recommendation log, and the community memberships. Two
+// type in both directions, the recommendation log, and the community
+// memberships. Two
 // datasets fingerprint equal iff they are byte-identical to every
 // consumer in the repository.
 func fingerprint(d *Dataset) [sha256.Size]byte {
@@ -35,11 +36,13 @@ func fingerprint(d *Dataset) [sha256.Size]byte {
 			wi(int64(tag))
 		}
 		for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
-			tos, ws := g.OutEdges(hin.LinkTypeID(lt), id)
-			wi(int64(len(tos)))
-			for i := range tos {
-				wi(int64(tos[i]))
-				wi(int64(ws[i]))
+			for _, row := range []func(hin.LinkTypeID, hin.EntityID) ([]hin.EntityID, []int32){g.OutEdges, g.InEdges} {
+				tos, ws := row(hin.LinkTypeID(lt), id)
+				wi(int64(len(tos)))
+				for i := range tos {
+					wi(int64(tos[i]))
+					wi(int64(ws[i]))
+				}
 			}
 		}
 	}
@@ -106,6 +109,27 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestGenerateGoldenFingerprint pins Generate's output at one fixed
+// configuration with planted communities to a recorded fingerprint, so a
+// change to the random streams, the edge merge or the Builder's CSR
+// assembly (forward or reverse) that alters a single byte fails here even
+// when it alters every worker count alike.
+func TestGenerateGoldenFingerprint(t *testing.T) {
+	const golden = "12c5c30ba1cc90c8913853a6f04f1f687365e7f01930a4173b9ba913f8385f19"
+	cfg := DefaultConfig(3*genShardUsers-100, 42)
+	cfg.Communities = []CommunitySpec{
+		{Size: 150, Density: 0.01},
+		{Size: 150, Density: 0.004},
+	}
+	d, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", fingerprint(d)); got != golden {
+		t.Fatalf("Generate fingerprint = %s, want %s", got, golden)
+	}
+}
+
 // TestGenerateShardBoundaries pins the shard layout the equivalence
 // guarantee depends on: shard count is a function of Users alone, so a
 // worker-pool change can never move a shard boundary (and with it every
@@ -124,13 +148,12 @@ func TestGenerateShardBoundaries(t *testing.T) {
 	}
 }
 
-// TestGenerateOrderingSpecified verifies the documented merge invariant
-// directly: within every link type the builder receives edges sorted by
-// (src, dst), so the generator's output ordering is part of its contract
-// rather than an accident of task layout. Build sorting would mask a
-// violation, so this test goes through the merge path with a fake
-// builder-level probe: it regenerates and checks the CSR rows are the
-// sorted multiset union regardless of which task emitted what.
+// TestGenerateOrderingSpecified checks the ordering the generator's output
+// promises: edges reach the Builder in task order, and Build's output is
+// order-independent, so every CSR row comes out with strictly ascending
+// destinations (duplicate pairs merged) whichever task emitted what, and
+// every community lists its members ascending. Byte-level identity of the
+// whole dataset is pinned by TestGenerateGoldenFingerprint.
 func TestGenerateOrderingSpecified(t *testing.T) {
 	cfg := DefaultConfig(1200, 9)
 	cfg.Workers = 4
