@@ -292,7 +292,7 @@ func TestMeasureUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.TotalLoss() != 0 {
+	if u != (Utility{}) {
 		t.Fatalf("self-comparison loss = %+v", u)
 	}
 	// CGA: only additions; no removals or weight perturbation.

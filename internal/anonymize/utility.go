@@ -24,12 +24,6 @@ type Utility struct {
 // EdgeEditDistance is the total number of edge insertions plus deletions.
 func (u Utility) EdgeEditDistance() int64 { return u.EdgesAdded + u.EdgesRemoved }
 
-// TotalLoss is a single scalar: edge edits plus weight perturbation plus
-// fake weight mass. Lower is better utility.
-func (u Utility) TotalLoss() int64 {
-	return u.EdgeEditDistance() + u.WeightL1 + u.FakeWeightMass
-}
-
 // MeasureUtility compares anonymized against original. Both graphs must
 // have the same entity count and schema link-type count, with entity i
 // denoting the same individual in both (i.e. measure before any ID

@@ -196,15 +196,9 @@ func RunAll(p Params) ([]*Table, error) {
 	return out, err
 }
 
-// RunAllTo is RunAll streaming each rendered table (with a timing line) to
-// sink as soon as its turn in the fixed order comes; pass nil to collect
-// silently.
-func RunAllTo(sink io.Writer, p Params) ([]*Table, error) {
-	out, _, _, err := RunAllTimed(sink, p)
-	return out, err
-}
-
-// RunAllTimed is RunAllTo returning per-experiment wall times and the
+// RunAllTimed is RunAll streaming each rendered table (with a timing
+// line) to sink as soon as its turn in the fixed order comes (nil
+// collects silently), and returning per-experiment wall times and the
 // final artifact-cache statistics alongside the tables.
 //
 // Independent experiments run concurrently over the shared workbench, at

@@ -235,8 +235,7 @@ func appendU64(dst []byte, v uint64) []byte {
 // FromGraph converts an in-memory Graph to its compact form. The result
 // shares g's (immutable) set columns; everything else is re-encoded. Use
 // this for in-process backend comparisons and for workbench runs with
-// -backend=csr; for datasets too large to build in memory first, stream
-// through a CSRWriter instead.
+// -backend=csr.
 func FromGraph(g *Graph) *CSRGraph {
 	n := g.NumEntities()
 	out := &CSRGraph{
@@ -298,8 +297,8 @@ func encodeCSRAdj(src *csr, n int, weighted bool) csrAdj {
 }
 
 // attrInterner assigns dense codes to attribute values in first-occurrence
-// order, so FromGraph and CSRWriter produce identical dictionaries for the
-// same entity stream.
+// order, so FromGraph and WriteCSRFile produce identical dictionaries for
+// the same entity stream.
 type attrInterner struct {
 	dict   []int64
 	code32 map[int64]uint32

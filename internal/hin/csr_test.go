@@ -1,12 +1,12 @@
 package hin
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,173 +215,40 @@ func TestEmptyGraphCSRFile(t *testing.T) {
 	assertBackendsEqual(t, g, cf.Graph())
 }
 
-// replayToCSRWriter feeds the exact entity/edge stream of g into a
-// CSRWriter, using the same per-entity attr/set/edge order WriteCSRFile
-// observes.
-func replayToCSRWriter(t *testing.T, g *Graph, path string) {
-	t.Helper()
-	w, err := NewCSRWriter(g.Schema(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumEntities()
-	for v := 0; v < n; v++ {
-		w.AddEntity(g.EntityType(EntityID(v)), g.Label(EntityID(v)), g.Attrs(EntityID(v))...)
-		for _, name := range g.SetNames() {
-			if s := g.Set(name, EntityID(v)); len(s) > 0 {
-				w.SetSet(name, EntityID(v), s)
-			}
-		}
-	}
-	for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
-		for v := 0; v < n; v++ {
-			tos, ws := g.OutEdges(LinkTypeID(lt), EntityID(v))
-			for i, to := range tos {
-				if err := w.AddEdge(LinkTypeID(lt), EntityID(v), to, ws[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := w.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCSRWriterByteIdenticalToWriteCSRFile(t *testing.T) {
-	g := randomRichGraph(t, 21)
+// TestWriteCSRFileReplacesAtomically rewrites a path that is open and
+// mapped, as a daemon's graph file is before a reload. The old mapping
+// must keep serving the old graph, a reopen must see the new one, and no
+// temporary file may be left beside the target. Panic-on-fault turns a
+// read past a truncated mapping into a test failure instead of a SIGBUS.
+func TestWriteCSRFileReplacesAtomically(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	g1, g2 := randomRichGraph(t, 31), randomRichGraph(t, 37)
 	dir := t.TempDir()
-	direct := filepath.Join(dir, "direct.hincsr")
-	streamed := filepath.Join(dir, "streamed.hincsr")
-	if err := WriteCSRFile(direct, g); err != nil {
+	path := filepath.Join(dir, "g.hincsr")
+	if err := WriteCSRFile(path, g1); err != nil {
 		t.Fatal(err)
 	}
-	replayToCSRWriter(t, g, streamed)
-	a, err := os.ReadFile(direct)
+	old, err := OpenCSRFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(streamed)
-	if err != nil {
+	defer old.Close()
+	if err := WriteCSRFile(path, g2); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("streamed CSR file differs from direct write: %d vs %d bytes", len(b), len(a))
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Fatalf("temp files left behind: %v", ents)
-	}
-}
-
-func TestCSRWriterMergesDuplicates(t *testing.T) {
-	s := userSchema(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dup.hincsr")
-	w, err := NewCSRWriter(s, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		w.AddEntity(0, "", 1980, 0)
-	}
-	follow, mention := s.MustLinkTypeID("follow"), s.MustLinkTypeID("mention")
-	for i := 0; i < 4; i++ {
-		if err := w.AddEdge(follow, 0, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AddEdge(mention, 0, 2, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finalize(); err != nil {
-		t.Fatal(err)
-	}
+	assertBackendsEqual(t, g1, old.Graph())
 	cf, err := OpenCSRFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	g := cf.Graph()
-	if g.NumEdges(follow) != 1 || g.NumEdges(mention) != 1 {
-		t.Fatalf("edge counts after merge: %d %d", g.NumEdges(follow), g.NumEdges(mention))
-	}
-	if w, ok := g.FindEdge(follow, 0, 1); !ok || w != 1 {
-		t.Fatalf("follow edge = (%d,%v), want collapsed strength 1", w, ok)
-	}
-	if w, ok := g.FindEdge(mention, 0, 2); !ok || w != 12 {
-		t.Fatalf("mention edge = (%d,%v), want summed strength 12", w, ok)
-	}
-}
-
-func TestCSRWriterStrengthOverflow(t *testing.T) {
-	s := userSchema(t)
-	path := filepath.Join(t.TempDir(), "ovf.hincsr")
-	w, err := NewCSRWriter(s, path)
+	assertBackendsEqual(t, g2, cf.Graph())
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.AddEntity(0, "", 1980, 0)
-	w.AddEntity(0, "", 1981, 1)
-	mention := s.MustLinkTypeID("mention")
-	for i := 0; i < 2; i++ {
-		if err := w.AddEdge(mention, 0, 1, maxInt32); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = w.Finalize()
-	if err == nil || !strings.Contains(err.Error(), "overflows int32") {
-		t.Fatalf("Finalize = %v, want overflow error", err)
-	}
-	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
-		t.Fatalf("failed Finalize left output file behind (stat err %v)", serr)
-	}
-}
-
-func TestCSRWriterValidationMirrorsBuilder(t *testing.T) {
-	s := userSchema(t)
-	path := filepath.Join(t.TempDir(), "val.hincsr")
-	w, err := NewCSRWriter(s, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.removeTemp()
-	w.AddEntity(0, "", 1980, 0)
-	w.AddEntity(0, "", 1981, 1)
-	follow, mention := s.MustLinkTypeID("follow"), s.MustLinkTypeID("mention")
-	cases := []struct {
-		name string
-		err  error
-	}{
-		{"unknown lt", w.AddEdge(99, 0, 1, 1)},
-		{"src range", w.AddEdge(follow, -1, 1, 1)},
-		{"dst range", w.AddEdge(follow, 0, 9, 1)},
-		{"self loop", w.AddEdge(follow, 0, 0, 1)},
-		{"nonpositive", w.AddEdge(mention, 0, 1, 0)},
-		{"unweighted w", w.AddEdge(follow, 0, 1, 2)},
-	}
-	for _, c := range cases {
-		if c.err == nil {
-			t.Fatalf("%s: expected error", c.name)
-		}
-	}
-	for _, fn := range []func(){
-		func() { w.AddEntity(9, "") },
-		func() { w.AddEntity(0, "", 1980) },
-		func() { w.SetSet("tags", 99, []int32{1}) },
-		func() { w.SetSet("nope", 0, []int32{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
+	if len(ents) != 1 {
+		t.Fatalf("directory holds %d entries after rewrite, want 1", len(ents))
 	}
 }
 
@@ -486,9 +353,6 @@ func TestStatsCrossBackendEquality(t *testing.T) {
 		}
 		for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
 			ltid := LinkTypeID(lt)
-			if a, b := OutDegreeStats(g, ltid), OutDegreeStats(c, ltid); a != b {
-				t.Fatalf("%s: OutDegreeStats(%d) %+v vs %+v", backend.name, lt, b, a)
-			}
 			if a, b := StrengthCardinality(g, ltid), StrengthCardinality(c, ltid); a != b {
 				t.Fatalf("%s: StrengthCardinality(%d) %d vs %d", backend.name, lt, b, a)
 			}
@@ -500,9 +364,6 @@ func TestStatsCrossBackendEquality(t *testing.T) {
 		}
 		if a, b := AttrCardinality(g, 0, 0), AttrCardinality(c, 0, 0); a != b {
 			t.Fatalf("%s: AttrCardinality %d vs %d", backend.name, b, a)
-		}
-		if a, b := SetSizeCardinality(g, 0, "tags"), SetSizeCardinality(c, 0, "tags"); a != b {
-			t.Fatalf("%s: SetSizeCardinality %d vs %d", backend.name, b, a)
 		}
 	}
 }

@@ -97,8 +97,16 @@ func (w *writerCounter) flush() error {
 	return err
 }
 
+// csrTempSeq numbers WriteCSRFile's temporary files within the process.
+var csrTempSeq atomic.Uint64
+
+// newSectionFile creates a temporary sibling of path to stream into,
+// named by process and sequence number so concurrent writers never share
+// one. It uses os.Create's permissions (0666 before umask) rather than
+// os.CreateTemp's 0600, so a replaced file stays readable by whoever
+// could read the one it replaces.
 func newSectionFile(path string) (*sectionFile, error) {
-	f, err := os.Create(path)
+	f, err := os.Create(fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), csrTempSeq.Add(1)))
 	if err != nil {
 		return nil, err
 	}
@@ -136,25 +144,23 @@ func (sf *sectionFile) writeSection(payload []byte) {
 }
 
 // finish patches the section lengths, computes the body checksum in one
-// sequential re-read, writes the header, and closes the file.
+// sequential re-read, writes the header, syncs, and closes the file. On
+// error the file is left open for the caller to close and remove.
 func (sf *sectionFile) finish() error {
 	if sf.err == nil {
 		sf.err = sf.w.flush()
 	}
 	if sf.err != nil {
-		sf.f.Close()
 		return sf.err
 	}
 	var le [8]byte
 	for _, p := range sf.patches {
 		binary.LittleEndian.PutUint64(le[:], uint64(p.val))
 		if _, err := sf.f.WriteAt(le[:], p.off); err != nil {
-			sf.f.Close()
 			return err
 		}
 	}
 	if _, err := sf.f.Seek(csrHeaderSize, io.SeekStart); err != nil {
-		sf.f.Close()
 		return err
 	}
 	crc := uint32(0)
@@ -166,7 +172,6 @@ func (sf *sectionFile) finish() error {
 			break
 		}
 		if err != nil {
-			sf.f.Close()
 			return err
 		}
 	}
@@ -176,11 +181,9 @@ func (sf *sectionFile) finish() error {
 	binary.LittleEndian.PutUint32(hdr[12:16], crc)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(sf.w.pos))
 	if _, err := sf.f.WriteAt(hdr[:], 0); err != nil {
-		sf.f.Close()
 		return err
 	}
 	if err := sf.f.Sync(); err != nil {
-		sf.f.Close()
 		return err
 	}
 	return sf.f.Close()
@@ -208,18 +211,12 @@ func marshalSchema(s *Schema) ([]byte, error) {
 // WriteCSRFile persists any backend as a version-1 CSR file. It streams
 // the adjacency sections row by row through one reused decode buffer;
 // only the O(n) offset columns are materialized in memory.
-func WriteCSRFile(path string, g GraphBackend) error {
-	return WriteCSRFileOpt(path, g, CSRFileOptions{Workers: 1})
-}
-
-// WriteCSRFileOpt is WriteCSRFile with the adjacency encoding - the
-// dominant cost - sharded across workers. Each shard encodes its row
-// range into a private buffer with its own edge cursor; buffers are then
-// written in shard order, so the file is byte-identical to the serial
-// writer at any worker count. The parallel path trades the serial
-// writer's O(1) adjacency buffering for holding one direction's encoded
-// bytes in memory; Workers <= 1 keeps the streaming behavior.
-func WriteCSRFileOpt(path string, g GraphBackend, opts CSRFileOptions) (err error) {
+//
+// The file is written to a temporary sibling of path and renamed over
+// path only once complete and synced, so the replacement is atomic: a
+// reader that has path mmap'd keeps its old bytes, and a failed write
+// leaves any previous file at path untouched.
+func WriteCSRFile(path string, g GraphBackend) (err error) {
 	sf, err := newSectionFile(path)
 	if err != nil {
 		return err
@@ -227,7 +224,7 @@ func WriteCSRFileOpt(path string, g GraphBackend, opts CSRFileOptions) (err erro
 	defer func() {
 		if err != nil {
 			sf.f.Close()
-			os.Remove(path)
+			os.Remove(sf.f.Name())
 		}
 	}()
 
@@ -350,12 +347,8 @@ func WriteCSRFileOpt(path string, g GraphBackend, opts CSRFileOptions) (err erro
 	}
 	sf.end()
 
-	// Adjacency: per link type, fwd then rev. The serial path streams
-	// dat row by row while the rowOff column accumulates in memory; the
-	// parallel path encodes fixed-width row shards concurrently and
-	// concatenates them in shard order.
-	shards := par.Shards(n, csrAdjShardRows)
-	pool := par.Workers(opts.Workers, shards)
+	// Adjacency: per link type, fwd then rev. dat streams row by row
+	// while the rowOff column accumulates in memory.
 	ebuf := &EdgeBuf{}
 	rowOff := make([]byte, 0, (n+1)*8)
 	enc := make([]byte, 0, 4096)
@@ -366,55 +359,27 @@ func WriteCSRFileOpt(path string, g GraphBackend, opts CSRFileOptions) (err erro
 			rowOff = appendU64(rowOff, 0)
 			var total uint64
 			sf.begin()
-			if pool <= 1 {
-				for v := 0; v < n; v++ {
-					var tos []EntityID
-					var ws []int32
-					if dir == 0 {
-						tos, ws = g.OutEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
-					} else {
-						tos, ws = g.InEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
-					}
-					enc = appendAdjRow(enc[:0], tos, ws, weighted)
-					total += uint64(len(enc))
-					sf.write(enc)
-					rowOff = appendU64(rowOff, total)
+			for v := 0; v < n; v++ {
+				var tos []EntityID
+				var ws []int32
+				if dir == 0 {
+					tos, ws = g.OutEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
+				} else {
+					tos, ws = g.InEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
 				}
-			} else {
-				encs := make([][]byte, shards)
-				ends := make([][]uint64, shards)
-				bufs := make([]EdgeBuf, pool)
-				par.Run(opts.Workers, shards, func(wk, sh int) {
-					lo, hi := par.Bounds(sh, n, csrAdjShardRows)
-					buf := make([]byte, 0, 4096)
-					rowEnds := make([]uint64, 0, hi-lo)
-					for v := lo; v < hi; v++ {
-						var tos []EntityID
-						var ws []int32
-						if dir == 0 {
-							tos, ws = g.OutEdgesBuf(&bufs[wk], LinkTypeID(lt), EntityID(v))
-						} else {
-							tos, ws = g.InEdgesBuf(&bufs[wk], LinkTypeID(lt), EntityID(v))
-						}
-						buf = appendAdjRow(buf, tos, ws, weighted)
-						rowEnds = append(rowEnds, uint64(len(buf)))
-					}
-					encs[sh], ends[sh] = buf, rowEnds
-				})
-				for sh := range encs {
-					sf.write(encs[sh])
-					for _, e := range ends[sh] {
-						rowOff = appendU64(rowOff, total+e)
-					}
-					total += uint64(len(encs[sh]))
-					encs[sh] = nil
-				}
+				enc = appendAdjRow(enc[:0], tos, ws, weighted)
+				total += uint64(len(enc))
+				sf.write(enc)
+				rowOff = appendU64(rowOff, total)
 			}
 			sf.end()
 			sf.writeSection(rowOff)
 		}
 	}
-	return sf.finish()
+	if err := sf.finish(); err != nil {
+		return err
+	}
+	return os.Rename(sf.f.Name(), path)
 }
 
 // CSRFile is an opened on-disk CSR graph: the decoded CSRGraph plus the

@@ -60,7 +60,6 @@ type Schema struct {
 	linkTypes   []LinkType
 	etByName    map[string]EntityTypeID
 	ltByName    map[string]LinkTypeID
-	attrIndex   []map[string]int // per entity type: attr name -> position
 	setIndex    []map[string]int // per entity type: set attr name -> position
 }
 
@@ -89,7 +88,7 @@ func NewSchema(entityTypes []EntityType, linkTypes []LinkType) (*Schema, error) 
 			return nil, fmt.Errorf("hin: duplicate entity type %q", et.Name)
 		}
 		s.etByName[et.Name] = EntityTypeID(i)
-		attrs := make(map[string]int, len(et.Attrs))
+		attrs := make(map[string]struct{}, len(et.Attrs))
 		for j, a := range et.Attrs {
 			if a == "" {
 				return nil, fmt.Errorf("hin: entity type %q attr %d has empty name", et.Name, j)
@@ -97,9 +96,8 @@ func NewSchema(entityTypes []EntityType, linkTypes []LinkType) (*Schema, error) 
 			if _, dup := attrs[a]; dup {
 				return nil, fmt.Errorf("hin: entity type %q has duplicate attr %q", et.Name, a)
 			}
-			attrs[a] = j
+			attrs[a] = struct{}{}
 		}
-		s.attrIndex = append(s.attrIndex, attrs)
 		sets := make(map[string]int, len(et.SetAttrs))
 		for j, a := range et.SetAttrs {
 			if a == "" {
@@ -146,12 +144,6 @@ func (s *Schema) NumEntityTypes() int { return len(s.entityTypes) }
 // NumLinkTypes returns |L| of Definition 2.
 func (s *Schema) NumLinkTypes() int { return len(s.linkTypes) }
 
-// Heterogeneous reports whether the schema describes a heterogeneous
-// information network per Definition 2 (|E| > 1 or |L| > 1).
-func (s *Schema) Heterogeneous() bool {
-	return len(s.entityTypes) > 1 || len(s.linkTypes) > 1
-}
-
 // EntityType returns the declaration of entity type id.
 func (s *Schema) EntityType(id EntityTypeID) EntityType { return s.entityTypes[id] }
 
@@ -180,15 +172,6 @@ func (s *Schema) MustLinkTypeID(name string) LinkTypeID {
 	return id
 }
 
-// AttrIndex returns the position of attribute name within entity type t,
-// or -1 if t has no such attribute.
-func (s *Schema) AttrIndex(t EntityTypeID, name string) int {
-	if i, ok := s.attrIndex[t][name]; ok {
-		return i
-	}
-	return -1
-}
-
 // SetAttrIndex returns the position of multi-valued attribute name within
 // entity type t, or -1 if t has no such set attribute.
 func (s *Schema) SetAttrIndex(t EntityTypeID, name string) int {
@@ -196,19 +179,6 @@ func (s *Schema) SetAttrIndex(t EntityTypeID, name string) int {
 		return i
 	}
 	return -1
-}
-
-// LinkTypesFrom returns the ids of all link types whose source is entity
-// type t.
-func (s *Schema) LinkTypesFrom(t EntityTypeID) []LinkTypeID {
-	var out []LinkTypeID
-	name := s.entityTypes[t].Name
-	for i, lt := range s.linkTypes {
-		if lt.From == name {
-			out = append(out, LinkTypeID(i))
-		}
-	}
-	return out
 }
 
 // String renders the schema in a compact one-line-per-type form, e.g.

@@ -25,9 +25,6 @@ func TestNewSchemaValid(t *testing.T) {
 	if s.NumEntityTypes() != 1 || s.NumLinkTypes() != 2 {
 		t.Fatalf("got %d entity types, %d link types", s.NumEntityTypes(), s.NumLinkTypes())
 	}
-	if !s.Heterogeneous() {
-		t.Fatal("|L|>1 must be heterogeneous (Definition 2)")
-	}
 	if id, ok := s.EntityTypeID("User"); !ok || id != 0 {
 		t.Fatalf("EntityTypeID(User) = %d, %v", id, ok)
 	}
@@ -36,12 +33,6 @@ func TestNewSchemaValid(t *testing.T) {
 	}
 	if _, ok := s.LinkTypeID("nope"); ok {
 		t.Fatal("unknown link type resolved")
-	}
-	if i := s.AttrIndex(0, "gender"); i != 1 {
-		t.Fatalf("AttrIndex(gender) = %d", i)
-	}
-	if i := s.AttrIndex(0, "missing"); i != -1 {
-		t.Fatalf("AttrIndex(missing) = %d", i)
 	}
 	if i := s.SetAttrIndex(0, "tags"); i != 0 {
 		t.Fatalf("SetAttrIndex(tags) = %d", i)
@@ -59,8 +50,8 @@ func TestHomogeneousSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Heterogeneous() {
-		t.Fatal("single entity and link type must be homogeneous")
+	if s.NumEntityTypes() != 1 || s.NumLinkTypes() != 1 {
+		t.Fatalf("got %d entity types, %d link types", s.NumEntityTypes(), s.NumLinkTypes())
 	}
 }
 
@@ -97,22 +88,6 @@ func TestMustSchemaPanics(t *testing.T) {
 		}
 	}()
 	MustSchema(nil, nil)
-}
-
-func TestLinkTypesFrom(t *testing.T) {
-	s := MustSchema(
-		[]EntityType{{Name: "User"}, {Name: "Tweet"}},
-		[]LinkType{
-			{Name: "post", From: "User", To: "Tweet"},
-			{Name: "follow", From: "User", To: "User"},
-			{Name: "mention", From: "Tweet", To: "User"},
-		},
-	)
-	uid, _ := s.EntityTypeID("User")
-	got := s.LinkTypesFrom(uid)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("LinkTypesFrom(User) = %v", got)
-	}
 }
 
 func TestSchemaString(t *testing.T) {

@@ -1,10 +1,6 @@
 package hin
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Density computes the paper's Equation 4 for a graph whose link types all
 // connect the same single entity type (a target network schema instance):
@@ -53,51 +49,6 @@ func MaxEdges(s *Schema, n int) int64 {
 	return m*nn*nn + (l-m)*nn*(nn-1)
 }
 
-// DegreeStats summarizes an out-degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-	// P50, P90, P99 are the 50th/90th/99th percentile degrees.
-	P50, P90, P99 int
-}
-
-// OutDegreeStats computes degree statistics for link type lt over entities
-// of the link's source type only (other entities never carry such edges).
-func OutDegreeStats(g GraphBackend, lt LinkTypeID) DegreeStats {
-	src := g.Schema().LinkType(lt).From
-	srcID, _ := g.Schema().EntityTypeID(src)
-	var degs []int
-	for v := 0; v < g.NumEntities(); v++ {
-		if g.EntityType(EntityID(v)) != srcID {
-			continue
-		}
-		degs = append(degs, g.OutDegree(lt, EntityID(v)))
-	}
-	if len(degs) == 0 {
-		return DegreeStats{}
-	}
-	sort.Ints(degs)
-	sum := 0
-	for _, d := range degs {
-		sum += d
-	}
-	pct := func(p float64) int {
-		i := int(math.Ceil(p*float64(len(degs)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return degs[i]
-	}
-	return DegreeStats{
-		Min:  degs[0],
-		Max:  degs[len(degs)-1],
-		Mean: float64(sum) / float64(len(degs)),
-		P50:  pct(0.50),
-		P90:  pct(0.90),
-		P99:  pct(0.99),
-	}
-}
-
 // AttrCardinality returns the number of distinct values attribute index i
 // takes across entities of type t - the per-attribute cardinality C(A_j) of
 // Theorem 2 (and the "average cardinality of gender, yob, ..." statistics
@@ -109,20 +60,6 @@ func AttrCardinality(g GraphBackend, t EntityTypeID, i int) int {
 			continue
 		}
 		seen[g.Attr(EntityID(v), i)] = struct{}{}
-	}
-	return len(seen)
-}
-
-// SetSizeCardinality returns the number of distinct sizes of the named set
-// attribute across entities of type t (the paper uses the number of tags,
-// not their identities, since tag IDs are anonymized).
-func SetSizeCardinality(g GraphBackend, t EntityTypeID, name string) int {
-	seen := make(map[int]struct{})
-	for v := 0; v < g.NumEntities(); v++ {
-		if g.EntityType(EntityID(v)) != t {
-			continue
-		}
-		seen[len(g.Set(name, EntityID(v)))] = struct{}{}
 	}
 	return len(seen)
 }

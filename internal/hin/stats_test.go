@@ -109,39 +109,12 @@ func TestMaxEdges(t *testing.T) {
 	}
 }
 
-func TestOutDegreeStats(t *testing.T) {
-	s := targetSchema4(t)
-	b := NewBuilder(s)
-	for i := 0; i < 4; i++ {
-		b.AddEntity(0, "", int64(i))
-	}
-	// degrees via follow: 3, 1, 0, 0
-	mustEdge := func(f, to EntityID) {
-		if err := b.AddEdge(0, f, to, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustEdge(0, 1)
-	mustEdge(0, 2)
-	mustEdge(0, 3)
-	mustEdge(1, 0)
-	g, _ := b.Build()
-	st := OutDegreeStats(g, 0)
-	if st.Min != 0 || st.Max != 3 || math.Abs(st.Mean-1.0) > 1e-12 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.P50 != 0 || st.P99 != 3 {
-		t.Fatalf("percentiles = %+v", st)
-	}
-}
-
 func TestCardinalities(t *testing.T) {
 	s := targetSchema4(t)
 	b := NewBuilder(s)
 	years := []int64{1980, 1980, 1990, 2000}
-	for i, y := range years {
-		id := b.AddEntity(0, "", y)
-		b.SetSet("tags", id, make([]int32, i%2+1)) // sizes 1,2,1,2
+	for _, y := range years {
+		b.AddEntity(0, "", y)
 	}
 	if err := b.AddEdge(1, 0, 1, 5); err != nil {
 		t.Fatal(err)
@@ -155,9 +128,6 @@ func TestCardinalities(t *testing.T) {
 	g, _ := b.Build()
 	if c := AttrCardinality(g, 0, 0); c != 3 {
 		t.Fatalf("yob cardinality = %d", c)
-	}
-	if c := SetSizeCardinality(g, 0, "tags"); c != 2 {
-		t.Fatalf("tag-size cardinality = %d", c)
 	}
 	if c := StrengthCardinality(g, 1); c != 2 {
 		t.Fatalf("strength cardinality = %d", c)

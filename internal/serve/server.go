@@ -73,10 +73,9 @@ type Config struct {
 	// 0 means GOMAXPROCS.
 	Workers int
 
-	// Metrics, Trace, and Log attach observability; all three follow the
-	// obs nil-disables contract.
+	// Metrics and Log attach observability; both follow the obs
+	// nil-disables contract.
 	Metrics *obs.Registry
-	Trace   *trace.Tracer
 	Log     *obs.Logger
 
 	// Flight, when non-nil, attaches the tail-based request flight
@@ -136,7 +135,6 @@ type Server struct {
 	cfg    Config
 	log    *obs.Logger
 	met    serverMetrics
-	trace  *trace.Tracer
 	flight *trace.Flight
 
 	cur    atomic.Pointer[snapshot]
@@ -160,7 +158,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		log:         cfg.Log,
-		trace:       cfg.Trace,
 		flight:      cfg.Flight,
 		attackSlots: make(chan struct{}, cfg.MaxAttackInFlight),
 	}

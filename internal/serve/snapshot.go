@@ -69,7 +69,6 @@ func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRF
 		EntityAttrs: cfg.EntityAttrs,
 		Workers:     cfg.Workers,
 		Metrics:     cfg.Metrics,
-		Trace:       cfg.Trace,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: signature grid: %w", err)

@@ -256,19 +256,6 @@ func TestRecLog(t *testing.T) {
 			t.Fatalf("rec item out of range: %d", r.Item)
 		}
 	}
-	// RecFor returns exactly this user's entries.
-	u := d.Rec[0].User
-	for _, r := range d.RecFor(u) {
-		if r.User != u {
-			t.Fatal("RecFor returned foreign entry")
-		}
-	}
-	if _, ok := d.ItemByName(d.Items[3].Name); !ok {
-		t.Fatal("ItemByName failed")
-	}
-	if _, ok := d.ItemByName("no-such-item"); ok {
-		t.Fatal("ItemByName found a ghost")
-	}
 }
 
 func TestSampleTargetAndCommunityTarget(t *testing.T) {

@@ -55,24 +55,3 @@ func CommunityTarget(d *Dataset, i int, rng *randx.RNG) (*Target, error) {
 	})
 	return SampleTarget(d, members)
 }
-
-// RecFor returns the recommendation log entries of dataset user u.
-func (d *Dataset) RecFor(u hin.EntityID) []RecEntry {
-	var out []RecEntry
-	for _, r := range d.Rec {
-		if r.User == u {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ItemByName resolves an item by its name; ok is false if absent.
-func (d *Dataset) ItemByName(name string) (Item, bool) {
-	for _, it := range d.Items {
-		if it.Name == name {
-			return it, true
-		}
-	}
-	return Item{}, false
-}

@@ -267,8 +267,7 @@ func BenchmarkPaperscaleRisk(b *testing.B) {
 }
 
 // TestPaperscaleSmoke is the scaled-down always-on pipeline: generate,
-// stream through the bounded-RSS CSRWriter, persist, reload, attack, and
-// measure risk - asserting at each step that the compact backend agrees
+// persist, reload, attack, and measure risk - asserting at each step that the compact backend agrees
 // with the in-memory one. `make verify` runs it unless SKIP_PAPERSCALE=1.
 func TestPaperscaleSmoke(t *testing.T) {
 	cfg := tqq.DefaultConfig(3000, 21)
@@ -279,33 +278,8 @@ func TestPaperscaleSmoke(t *testing.T) {
 	}
 	g := ds.Graph
 
-	// Stream every entity and edge through the spill-file builder, exactly
-	// as an out-of-core ingest would.
 	path := filepath.Join(t.TempDir(), "smoke.hincsr")
-	w, err := hin.NewCSRWriter(g.Schema(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumEntities(); v++ {
-		id := hin.EntityID(v)
-		w.AddEntity(g.EntityType(id), g.Label(id), g.Attrs(id)...)
-		for _, name := range g.SetNames() {
-			if s := g.Set(name, id); len(s) > 0 {
-				w.SetSet(name, id, s)
-			}
-		}
-	}
-	for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
-		for v := 0; v < g.NumEntities(); v++ {
-			tos, ws := g.OutEdges(hin.LinkTypeID(lt), hin.EntityID(v))
-			for i, to := range tos {
-				if err := w.AddEdge(hin.LinkTypeID(lt), hin.EntityID(v), to, ws[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := w.Finalize(); err != nil {
+	if err := hin.WriteCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 
