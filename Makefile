@@ -34,7 +34,7 @@ SERVE_SMOKE_SECONDS ?= 5
 SERVE_SMOKE_TOL ?= 300
 SERVE_SMOKE_DIR ?= /tmp/dehin-serve-smoke
 
-.PHONY: build test lint lint-mut verify race-par bench-diff fuzz bench benchdump serve-smoke
+.PHONY: build test lint lint-mut verify race-par perfbench-check bench-diff fuzz bench benchdump serve-smoke
 
 build:
 	$(GO) build ./...
@@ -60,8 +60,9 @@ lint-mut:
 
 # verify is the CI gate: static checks (vet, then vet restricted to the
 # mutex-copy and loop-capture analyzers so they stay on even if the default
-# set changes, then hinlint), the race-detector run over the packages with
-# real concurrency (the sharded generator, the parallel workbench/registry,
+# set changes, then hinlint), vet and tests of the benchmark harness
+# (perfbench-check), the race-detector run over the packages with real
+# concurrency (the sharded generator, the parallel workbench/registry,
 # the obs metrics registry, and the span tracer), the paperscale smoke
 # (the miniature generate->persist->load->attack->risk pipeline; skip with
 # SKIP_PAPERSCALE=1), the hinriskd end-to-end smoke (a real daemon under a
@@ -72,6 +73,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -loopclosure ./...
 	$(MAKE) lint
+	$(MAKE) perfbench-check
 	$(GO) test -race ./internal/experiments ./internal/tqq ./internal/obs ./internal/obs/trace
 	$(MAKE) race-par
 ifeq ($(strip $(SKIP_PAPERSCALE)),)
@@ -95,6 +97,14 @@ race-par:
 	GOMAXPROCS=2 $(GO) test -race -count=1 \
 		-run 'Worker|Parallel|Sweep|Combine|Checksum|Reload' \
 		./internal/risk ./internal/hin ./internal/dehin ./internal/serve
+
+# perfbench-check vets and tests the benchmark harness. perfbench is a
+# nested module (it imports the root module through a ../ replace), so the
+# root `go build ./...` and `go test ./...` skip it; without this lane a
+# signature change in internal/dehin or internal/hin could break the
+# benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # serve-smoke is the end-to-end service gate: build the real binaries,
 # generate a small deterministic fixture graph, run hinriskd under a short

@@ -169,38 +169,3 @@ func HasPerfectLeftMatching(g Graph) bool {
 	var m Matcher
 	return m.HasPerfectLeftMatching(g)
 }
-
-// MaxMatchingKuhn computes a maximum matching size with Kuhn's simple
-// augmenting-path algorithm (O(V*E)). It exists to cross-check
-// HopcroftKarp in tests; production code should use HopcroftKarp.
-func MaxMatchingKuhn(g Graph) int {
-	matchR := make([]int32, g.NRight)
-	for i := range matchR {
-		matchR[i] = NoMatch
-	}
-	visited := make([]bool, g.NRight)
-	var try func(l int32) bool
-	try = func(l int32) bool {
-		for _, r := range g.Adj[l] {
-			if visited[r] {
-				continue
-			}
-			visited[r] = true
-			if matchR[r] == NoMatch || try(matchR[r]) {
-				matchR[r] = l
-				return true
-			}
-		}
-		return false
-	}
-	size := 0
-	for l := 0; l < g.NLeft; l++ {
-		for i := range visited {
-			visited[i] = false
-		}
-		if try(int32(l)) {
-			size++
-		}
-	}
-	return size
-}

@@ -119,7 +119,7 @@ func TestHopcroftKarpAgreesWithKuhn(t *testing.T) {
 		rng := randx.New(seed)
 		g := randomGraph(rng, 18)
 		matchL, matchR, size := HopcroftKarp(g)
-		if size != MaxMatchingKuhn(g) {
+		if size != maxMatchingKuhn(g) {
 			return false
 		}
 		// Inline consistency check (cannot call t.Helper inside quick).
@@ -199,7 +199,7 @@ func TestMatcherReuseAgreesWithOneShot(t *testing.T) {
 	var m Matcher
 	for i := 0; i < 500; i++ {
 		g := randomGraph(rng, 20)
-		if got, want := m.Match(g), MaxMatchingKuhn(g); got != want {
+		if got, want := m.Match(g), maxMatchingKuhn(g); got != want {
 			t.Fatalf("iteration %d: reused Matcher size %d, want %d", i, got, want)
 		}
 		if got, want := m.HasPerfectLeftMatching(g), HasPerfectLeftMatching(g); got != want {
@@ -279,4 +279,39 @@ func BenchmarkHasPerfectLeftMatching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		HasPerfectLeftMatching(g)
 	}
+}
+
+// maxMatchingKuhn computes a maximum matching size with Kuhn's simple
+// augmenting-path algorithm (O(V*E)), the oracle HopcroftKarp and the
+// Matcher are cross-checked against.
+func maxMatchingKuhn(g Graph) int {
+	matchR := make([]int32, g.NRight)
+	for i := range matchR {
+		matchR[i] = NoMatch
+	}
+	visited := make([]bool, g.NRight)
+	var try func(l int32) bool
+	try = func(l int32) bool {
+		for _, r := range g.Adj[l] {
+			if visited[r] {
+				continue
+			}
+			visited[r] = true
+			if matchR[r] == NoMatch || try(matchR[r]) {
+				matchR[r] = l
+				return true
+			}
+		}
+		return false
+	}
+	size := 0
+	for l := 0; l < g.NLeft; l++ {
+		for i := range visited {
+			visited[i] = false
+		}
+		if try(int32(l)) {
+			size++
+		}
+	}
+	return size
 }

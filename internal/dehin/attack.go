@@ -3,7 +3,6 @@ package dehin
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 	"github.com/hinpriv/dehin/internal/hin"
 	"github.com/hinpriv/dehin/internal/obs"
 	"github.com/hinpriv/dehin/internal/obs/trace"
+	"github.com/hinpriv/dehin/internal/par"
 )
 
 // Config parameterizes the DeHIN attack.
@@ -153,7 +153,7 @@ func NewAttack(aux hin.GraphBackend, cfg Config) (*Attack, error) {
 	// matchers so the pruned engine provably matches reference semantics.
 	if cfg.MaxDistance > 0 && !cfg.RemoveMajorityStrength &&
 		cfg.EntityMatch == nil && cfg.LinkMatch == nil {
-		a.deg = buildDegSignature(aux, cfg.LinkTypes, cfg.UseInEdges)
+		a.deg = buildDegSignature(aux, cfg.LinkTypes, cfg.UseInEdges, cfg.Parallelism)
 	}
 	return a, nil
 }
@@ -181,15 +181,11 @@ func (a *Attack) Aux() hin.GraphBackend { return a.aux }
 // PrepareTarget applies the attack-side preprocessing to a released target
 // graph (currently majority-strength removal when configured) and returns
 // the graph the matching will actually run on.
-func (a *Attack) PrepareTarget(target hin.GraphBackend) (hin.GraphBackend, error) {
+func (a *Attack) PrepareTarget(target *hin.Graph) (*hin.Graph, error) {
 	if !a.cfg.RemoveMajorityStrength {
 		return target, nil
 	}
-	g, err := RemoveMajorityStrengthEdges(target)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return removeMajorityStrengthEdges(target)
 }
 
 func (a *Attack) getScratch() *queryScratch {
@@ -204,7 +200,7 @@ func (a *Attack) putScratch(s *queryScratch) { a.scratch.Put(s) }
 // Deanonymize runs Algorithm 1 for one target entity against the prepared
 // target graph, returning the candidate set of auxiliary entities. The
 // caller is responsible for having applied PrepareTarget.
-func (a *Attack) Deanonymize(target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
+func (a *Attack) Deanonymize(target *hin.Graph, tv hin.EntityID) []hin.EntityID {
 	return a.DeanonymizeAppend(nil, target, tv)
 }
 
@@ -212,9 +208,9 @@ func (a *Attack) Deanonymize(target hin.GraphBackend, tv hin.EntityID) []hin.Ent
 // returning the extended slice. Reusing dst across queries makes a
 // steady-state query allocation-free: all internal working memory is
 // pooled and the result lands in the caller's buffer.
-func (a *Attack) DeanonymizeAppend(dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
+func (a *Attack) DeanonymizeAppend(dst []hin.EntityID, target *hin.Graph, tv hin.EntityID) []hin.EntityID {
 	s := a.getScratch()
-	dst = a.deanonymize(s, dst, target, tv)
+	dst = a.deanonymize(s, dst, target, tv, trace.Span{})
 	a.putScratch(s)
 	return dst
 }
@@ -226,9 +222,9 @@ func (a *Attack) DeanonymizeAppend(dst []hin.EntityID, target hin.GraphBackend, 
 // per-request flight recorder sees inside an attack. An inactive span
 // (the zero Span) makes this exactly Deanonymize, so the plain
 // single-query paths stay untraced and allocation-free.
-func (a *Attack) DeanonymizeSpan(target hin.GraphBackend, tv hin.EntityID, qs trace.Span) []hin.EntityID {
+func (a *Attack) DeanonymizeSpan(target *hin.Graph, tv hin.EntityID, qs trace.Span) []hin.EntityID {
 	s := a.getScratch()
-	dst := a.deanonymizeTraced(s, nil, target, tv, qs)
+	dst := a.deanonymize(s, nil, target, tv, qs)
 	a.putScratch(s)
 	return dst
 }
@@ -241,7 +237,7 @@ func (a *Attack) DeanonymizeSpan(target hin.GraphBackend, tv hin.EntityID, qs tr
 // sees a different graph. This is what lets a whole Run (500 queries
 // against one release) amortize the depth-1 neighborhood recursion that
 // different targets share.
-func (a *Attack) ensureMemo(s *queryScratch, target hin.GraphBackend) {
+func (a *Attack) ensureMemo(s *queryScratch, target *hin.Graph) {
 	if s.memoTarget == target {
 		return
 	}
@@ -256,7 +252,7 @@ func (a *Attack) ensureMemo(s *queryScratch, target hin.GraphBackend) {
 // pair, so a table probe is substantially cheaper than re-evaluating it.
 //
 //hin:hot
-func (a *Attack) emCached(s *queryScratch, target hin.GraphBackend, tb, ab hin.EntityID) bool {
+func (a *Attack) emCached(s *queryScratch, target *hin.Graph, tb, ab hin.EntityID) bool {
 	if r, ok := s.memo.get(tb, ab, 0); ok {
 		s.stats.memoHits++
 		return r
@@ -270,25 +266,10 @@ func (a *Attack) emCached(s *queryScratch, target hin.GraphBackend, tb, ab hin.E
 // deanonymize is the per-query entry point: the uninstrumented core plus,
 // when a metrics registry is attached, one batched flush of the query's
 // scratch-local event tally. The disabled path costs exactly this one
-// predictable branch (the zero Span inside the core adds only dead
-// single-branch no-ops).
-func (a *Attack) deanonymize(s *queryScratch, dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
-	if a.met == nil {
-		return a.deanonymizeCore(s, dst, target, tv, trace.Span{})
-	}
-	s.stats = queryStats{}
-	dst = a.deanonymizeCore(s, dst, target, tv, trace.Span{})
-	a.met.flush(&s.stats)
-	return dst
-}
-
-// deanonymizeTraced is deanonymize carrying a live query span, used only
-// for the queries Run samples. An inactive span falls through to the
-// untraced path so callers need not branch.
-func (a *Attack) deanonymizeTraced(s *queryScratch, dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID, qs trace.Span) []hin.EntityID {
-	if !qs.Active() {
-		return a.deanonymize(s, dst, target, tv)
-	}
+// predictable branch. qs, when active, is the query span the core's stage
+// children hang under (Run's sampled queries, DeanonymizeSpan); the zero
+// Span makes every trace call inside a dead single-branch no-op.
+func (a *Attack) deanonymize(s *queryScratch, dst []hin.EntityID, target *hin.Graph, tv hin.EntityID, qs trace.Span) []hin.EntityID {
 	if a.met == nil {
 		return a.deanonymizeCore(s, dst, target, tv, qs)
 	}
@@ -304,7 +285,7 @@ func (a *Attack) deanonymizeTraced(s *queryScratch, dst []hin.EntityID, target h
 // predictable no-op branch.
 //
 //hin:hot
-func (a *Attack) deanonymizeCore(s *queryScratch, dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID, qs trace.Span) []hin.EntityID {
+func (a *Attack) deanonymizeCore(s *queryScratch, dst []hin.EntityID, target *hin.Graph, tv hin.EntityID, qs trace.Span) []hin.EntityID {
 	ps := qs.Child("profile_candidates")
 	profile := a.profileCandidates(s, target, tv)
 	ps.Attr("candidates", int64(len(profile)))
@@ -352,7 +333,7 @@ func (a *Attack) deanonymizeCore(s *queryScratch, dst []hin.EntityID, target hin
 // and is valid until the scratch's next query.
 //
 //hin:hot
-func (a *Attack) profileCandidates(s *queryScratch, target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
+func (a *Attack) profileCandidates(s *queryScratch, target *hin.Graph, tv hin.EntityID) []hin.EntityID {
 	out := s.cand[:0]
 	if a.index != nil {
 		for _, av := range a.index.lookup(target, tv) {
@@ -396,7 +377,7 @@ func (a *Attack) quota(deg int) int {
 // memoized per (target, candidate, depth) across the whole query.
 //
 //hin:hot
-func (a *Attack) linkMatch(s *queryScratch, target hin.GraphBackend, n int, tv, av hin.EntityID) bool {
+func (a *Attack) linkMatch(s *queryScratch, target *hin.Graph, n int, tv, av hin.EntityID) bool {
 	if r, ok := s.memo.get(tv, av, n); ok {
 		s.stats.memoHits++
 		return r
@@ -408,7 +389,7 @@ func (a *Attack) linkMatch(s *queryScratch, target hin.GraphBackend, n int, tv, 
 }
 
 //hin:hot
-func (a *Attack) linkMatchUncached(s *queryScratch, target hin.GraphBackend, n int, tv, av hin.EntityID) bool {
+func (a *Attack) linkMatchUncached(s *queryScratch, target *hin.Graph, n int, tv, av hin.EntityID) bool {
 	for _, lt := range a.cfg.LinkTypes {
 		if !a.directionMatch(s, target, n, tv, av, lt, false) {
 			return false
@@ -426,37 +407,65 @@ func (a *Attack) linkMatchUncached(s *queryScratch, target hin.GraphBackend, n i
 // clobbers an in-progress one).
 //
 //hin:hot
-func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int, tv, av hin.EntityID, lt hin.LinkTypeID, inEdges bool) bool {
-	// The frame is claimed before any row decode: its pooled tbuf/abuf
-	// cursors hold the decoded rows for this depth, and deeper recursion
-	// uses deeper frames, so the rows below stay valid across the loop.
-	f := s.frame(n)
-	var tns []hin.EntityID
-	var tws []int32
-	if inEdges {
-		tns, tws = target.InEdgesBuf(&f.tbuf, lt, tv)
-	} else {
-		tns, tws = target.OutEdgesBuf(&f.tbuf, lt, tv)
-	}
+func (a *Attack) directionMatch(s *queryScratch, target *hin.Graph, n int, tv, av hin.EntityID, lt hin.LinkTypeID, inEdges bool) bool {
+	tns, tws := targetRow(target, lt, tv, inEdges)
 	need := a.quota(len(tns))
 	if need <= 0 || len(tns) == 0 {
 		return true
 	}
-	var ans []hin.EntityID
-	var aws []int32
-	if inEdges {
-		if need > a.aux.InDegree(lt, av) {
-			// Even a maximum matching cannot reach the quota; checked
-			// against the degree so the auxiliary row is never decoded.
-			return false
-		}
-		ans, aws = a.aux.InEdgesBuf(&f.abuf, lt, av)
-	} else {
-		if need > a.aux.OutDegree(lt, av) {
-			return false
-		}
-		ans, aws = a.aux.OutEdgesBuf(&f.abuf, lt, av)
+	// Even a maximum matching cannot reach the quota past the auxiliary
+	// degree; checked before the auxiliary row is decoded.
+	if inEdges && need > a.aux.InDegree(lt, av) || !inEdges && need > a.aux.OutDegree(lt, av) {
+		return false
 	}
+	f := s.frame(n)
+	ans, aws := a.auxRow(f, lt, av, inEdges)
+	if !a.buildCompat(s, f, target, n, tns, tws, ans, aws, need) {
+		return false
+	}
+	g := f.graph(len(ans))
+	s.stats.matcherRuns++
+	if need == len(tns) {
+		return s.matcher.HasPerfectLeftMatching(g)
+	}
+	return s.matcher.Match(g) >= need
+}
+
+// targetRow returns tv's neighbor row via lt in the given direction,
+// zero-copy from the in-memory target.
+//
+//hin:hot
+func targetRow(target *hin.Graph, lt hin.LinkTypeID, tv hin.EntityID, inEdges bool) ([]hin.EntityID, []int32) {
+	if inEdges {
+		return target.InEdges(lt, tv)
+	}
+	return target.OutEdges(lt, tv)
+}
+
+// auxRow returns av's neighbor row via lt, decoded into frame f's cursor;
+// the row stays valid while f is in use, since deeper recursion decodes
+// into deeper frames.
+//
+//hin:hot
+func (a *Attack) auxRow(f *adjFrame, lt hin.LinkTypeID, av hin.EntityID, inEdges bool) ([]hin.EntityID, []int32) {
+	if inEdges {
+		return a.aux.InEdgesBuf(&f.abuf, lt, av)
+	}
+	return a.aux.OutEdgesBuf(&f.abuf, lt, av)
+}
+
+// buildCompat fills frame f with Algorithm 2's bipartite compatibility
+// graph at distance n: left vertex i is target neighbor tns[i], right
+// vertex j auxiliary neighbor ans[j], and an edge means the link strengths
+// match, the entities match, and (for n > 1) their own neighborhoods match
+// to depth n-1. need > 0 enables the early exit: building stops, returning
+// false, once so many target neighbors have no compatible partner that
+// fewer than need could still be matched. need <= 0 always builds the
+// whole graph and returns true.
+//
+//hin:hot
+func (a *Attack) buildCompat(s *queryScratch, f *adjFrame, target *hin.Graph, n int,
+	tns []hin.EntityID, tws []int32, ans []hin.EntityID, aws []int32, need int) bool {
 	f.reset()
 	empties := 0
 	for i, tb := range tns {
@@ -475,46 +484,38 @@ func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int,
 		}
 		if len(f.dat) == row {
 			empties++
-			if len(tns)-empties < need {
+			if need > 0 && len(tns)-empties < need {
 				return false
 			}
 		}
 		f.closeRow()
 	}
-	g := f.graph(len(ans))
-	s.stats.matcherRuns++
-	if need == len(tns) {
-		return s.matcher.HasPerfectLeftMatching(g)
-	}
-	return s.matcher.Match(g) >= need
+	return true
 }
 
-// RemoveMajorityStrengthEdges returns a copy of g without, per link type,
+// removeMajorityStrengthEdges returns a copy of g without, per link type,
 // the edges carrying that type's most frequent strength. On an unweighted
 // link type every edge carries strength 1, so the whole type is dropped -
 // which is what completing the follow graph costs the defender's victim
 // (Section 6.2).
-func RemoveMajorityStrengthEdges(g hin.GraphBackend) (*hin.Graph, error) {
+func removeMajorityStrengthEdges(g *hin.Graph) (*hin.Graph, error) {
 	schema := g.Schema()
 	b := hin.NewBuilder(schema)
 	n := g.NumEntities()
-	var attrs []int64
 	for i := 0; i < n; i++ {
 		id := hin.EntityID(i)
-		attrs = g.AppendAttrs(attrs[:0], id)
-		b.AddEntity(g.EntityType(id), g.Label(id), attrs...)
+		b.AddEntity(g.EntityType(id), g.Label(id), g.Attrs(id)...)
 		for _, sa := range schema.EntityType(g.EntityType(id)).SetAttrs {
 			if s := g.Set(sa, id); len(s) > 0 {
 				b.SetSet(sa, id, s)
 			}
 		}
 	}
-	buf := &hin.EdgeBuf{}
 	for lt := 0; lt < schema.NumLinkTypes(); lt++ {
 		ltid := hin.LinkTypeID(lt)
 		maj, _, ok := hin.MajorityStrength(g, ltid)
 		for v := 0; v < n; v++ {
-			tos, ws := g.OutEdgesBuf(buf, ltid, hin.EntityID(v))
+			tos, ws := g.OutEdges(ltid, hin.EntityID(v))
 			for j, to := range tos {
 				if ok && ws[j] == maj {
 					continue
@@ -562,12 +563,12 @@ type Result struct {
 // is used only for scoring. PrepareTarget preprocessing is applied
 // automatically.
 //
-// Work is distributed by chunked work stealing over targets ordered by
-// descending utilized degree: expensive hub entities are handed out first
-// and a worker stuck on one cannot strand queued work behind it, so the
-// tail of a Run stays balanced. A zero-entity target yields zero metrics
-// (not NaN) and no error.
-func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, error) {
+// Work is distributed in small chunks on an internal/par pool over
+// targets ordered by descending utilized degree: expensive hub entities
+// are handed out first and a worker stuck on one cannot strand queued
+// work behind it, so the tail of a Run stays balanced. A zero-entity
+// target yields zero metrics (not NaN) and no error.
+func (a *Attack) Run(target *hin.Graph, truth []hin.EntityID) (Result, error) {
 	if len(truth) != target.NumEntities() {
 		return Result{}, fmt.Errorf("dehin: truth size %d != %d targets", len(truth), target.NumEntities())
 	}
@@ -585,13 +586,13 @@ func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, err
 	if n == 0 {
 		return out, nil
 	}
-	workers := a.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := par.Workers(a.cfg.Parallelism, n)
+	order := a.runOrder(prepared)
+	// Small fixed chunks, claimed in hub-first order, amortize the pool's
+	// atomic fetch without re-creating the convoy a static partition (or
+	// one target per task) causes when a single hub query dominates.
+	chunk := max(1, min(64, n/(workers*8)))
+	chunks := par.Shards(n, chunk)
 
 	// Tracing: one lane per worker so sampled query spans land on stable
 	// timeline rows; a shared counter samples every querySampleEvery-th
@@ -600,60 +601,52 @@ func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, err
 	root.Attr("targets", int64(n))
 	root.Attr("workers", int64(workers))
 	defer root.End()
-	var lanes []trace.Track
-	if a.cfg.Trace != nil {
-		lanes = make([]trace.Track, workers)
-		for i := range lanes {
-			lanes[i] = a.cfg.Trace.NewTrack()
-		}
-	}
+	lanes := par.Lanes(a.cfg.Trace, workers, chunks)
 	var qSeen, qSampled atomic.Int64
 
-	order := a.runOrder(prepared)
-	// Small chunks amortize the atomic fetch without re-creating the
-	// convoy a static partition (or one target per channel send) causes
-	// when a single hub query dominates.
-	chunk := max(1, min(64, n/(workers*8)))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := a.getScratch()
-			defer a.putScratch(s)
-			var buf []hin.EntityID
-			for {
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				for _, tv32 := range order[start:min(start+chunk, n)] {
-					tv := hin.EntityID(tv32)
-					var sp trace.Span
-					if lanes != nil {
-						if k := qSeen.Add(1); (k-1)%querySampleEvery == 0 &&
-							qSampled.Add(1) <= querySampleCap {
-							sp = root.ChildOn(lanes[w], "query")
-							sp.Attr("target", int64(tv))
-						}
-					}
-					buf = a.deanonymizeTraced(s, buf[:0], prepared, tv, sp)
-					if sp.Active() {
-						sp.Attr("candidates", int64(len(buf)))
-						sp.End()
-					}
-					o := TargetOutcome{Candidates: len(buf)}
-					if len(buf) == 1 {
-						o.Unique = true
-						o.Correct = buf[0] == truth[tv]
-					}
-					out.PerTarget[tv] = o
+	// Per-worker scratch and candidate buffers, claimed on a worker's
+	// first chunk and returned to the pool afterwards. Outcomes land in
+	// run order, in the slots of the chunk that owns them, and are
+	// scattered to target order once the pool is done.
+	scratch := make([]*queryScratch, par.Workers(workers, chunks))
+	bufs := make([][]hin.EntityID, len(scratch))
+	byRank := make([]TargetOutcome, n)
+	par.Sweep(workers, n, chunk, func(w, lo, hi int) {
+		if scratch[w] == nil {
+			scratch[w] = a.getScratch()
+		}
+		for i, tv32 := range order[lo:hi] {
+			tv := hin.EntityID(tv32)
+			var sp trace.Span
+			if lanes != nil {
+				if k := qSeen.Add(1); (k-1)%querySampleEvery == 0 &&
+					qSampled.Add(1) <= querySampleCap {
+					sp = root.ChildOn(lanes[w], "query")
+					sp.Attr("target", int64(tv))
 				}
 			}
-		}(w)
+			buf := a.deanonymize(scratch[w], bufs[w][:0], prepared, tv, sp)
+			bufs[w] = buf
+			if sp.Active() {
+				sp.Attr("candidates", int64(len(buf)))
+				sp.End()
+			}
+			o := TargetOutcome{Candidates: len(buf)}
+			if len(buf) == 1 {
+				o.Unique = true
+				o.Correct = buf[0] == truth[tv]
+			}
+			byRank[lo+i] = o
+		}
+	})
+	for _, s := range scratch {
+		if s != nil {
+			a.putScratch(s)
+		}
 	}
-	wg.Wait()
+	for r, tv := range order {
+		out.PerTarget[tv] = byRank[r]
+	}
 
 	auxN := float64(a.aux.NumEntities())
 	correct, reduction := 0, 0.0
@@ -672,7 +665,7 @@ func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, err
 
 // runOrder returns the target entities sorted by descending total utilized
 // degree (ties by ascending id, keeping the order deterministic).
-func (a *Attack) runOrder(prepared hin.GraphBackend) []int32 {
+func (a *Attack) runOrder(prepared *hin.Graph) []int32 {
 	n := prepared.NumEntities()
 	total := make([]int64, n)
 	var deg []int32

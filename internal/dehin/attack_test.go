@@ -1,6 +1,7 @@
 package dehin
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/anonymize"
@@ -418,7 +419,7 @@ func TestRemoveMajorityStrengthEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := b.Build()
-	rg, err := RemoveMajorityStrengthEdges(g)
+	rg, err := removeMajorityStrengthEdges(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,8 +541,10 @@ func TestNewAttackErrors(t *testing.T) {
 	}
 }
 
+// TestNoIndexScanEquivalence checks index lookups and the full auxiliary
+// scan agree on candidates: for the t.qq profile, for an index keyed on
+// three exact attributes, and for attribute values outside int32.
 func TestNoIndexScanEquivalence(t *testing.T) {
-	// Index and full scan agree on candidates.
 	cfg := tqq.DefaultConfig(800, 23)
 	cfg.Communities = []tqq.CommunitySpec{{Size: 100, Density: 0.01}}
 	d, err := tqq.Generate(cfg)
@@ -552,20 +555,28 @@ func TestNoIndexScanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withIdx := newTQQAttack(t, d.Graph, Config{MaxDistance: 1})
-	noIdx, err := NewAttack(d.Graph, Config{MaxDistance: 1, Profile: TQQProfile()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tv := 0; tv < 30; tv++ {
-		c1 := withIdx.Deanonymize(tgt.Graph, hin.EntityID(tv))
-		c2 := noIdx.Deanonymize(tgt.Graph, hin.EntityID(tv))
-		if len(c1) != len(c2) {
-			t.Fatalf("target %d: index %v vs scan %v", tv, c1, c2)
+	for _, c := range []struct {
+		name        string
+		aux, target *hin.Graph
+		spec        ProfileSpec
+	}{
+		{"tqq", d.Graph, tgt.Graph, TQQProfile()},
+		{"three-exact", d.Graph, tgt.Graph, threeExactProfile()},
+		{"wide-values", shiftAttr(t, d.Graph, tqq.AttrYob, 1<<40), shiftAttr(t, tgt.Graph, tqq.AttrYob, 1<<40), TQQProfile()},
+	} {
+		withIdx, err := NewAttack(c.aux, Config{MaxDistance: 1, Profile: c.spec, UseIndex: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range c1 {
-			if c1[i] != c2[i] {
-				t.Fatalf("target %d: index %v vs scan %v", tv, c1, c2)
+		noIdx, err := NewAttack(c.aux, Config{MaxDistance: 1, Profile: c.spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tv := 0; tv < 30; tv++ {
+			c1 := withIdx.Deanonymize(c.target, hin.EntityID(tv))
+			c2 := noIdx.Deanonymize(c.target, hin.EntityID(tv))
+			if !slices.Equal(c1, c2) {
+				t.Fatalf("%s target %d: index %v vs scan %v", c.name, tv, c1, c2)
 			}
 		}
 	}

@@ -10,53 +10,22 @@ import (
 	"github.com/hinpriv/dehin/internal/tqq"
 )
 
-// TestDeanonymizeSteadyStateZeroAllocCSR is the compact-backend twin of
-// TestDeanonymizeSteadyStateZeroAlloc: with both auxiliary and target on
-// the CSR backend, a warmed query must still allocate nothing - the
-// varint rows decode into the pooled per-frame cursors, never into fresh
-// slices.
+// TestDeanonymizeSteadyStateZeroAllocCSR is the production-pair twin of
+// TestDeanonymizeSteadyStateZeroAlloc: with the auxiliary graph on the
+// compact backend and the in-memory target, a warmed query must still
+// allocate nothing - the varint rows decode into the pooled per-frame
+// cursors, never into fresh slices.
 func TestDeanonymizeSteadyStateZeroAllocCSR(t *testing.T) {
-	cfgGen := tqq.DefaultConfig(2000, 29)
-	cfgGen.Communities = []tqq.CommunitySpec{{Size: 200, Density: 0.01}}
-	d, err := tqq.Generate(cfgGen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt, err := tqq.CommunityTarget(d, 0, randx.New(19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aux := hin.FromGraph(d.Graph)
-	target := hin.FromGraph(tgt.Graph)
-	for _, cfg := range []Config{
-		{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true},
-		{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true, UseInEdges: true, NeighborTolerance: 0.25},
-	} {
-		a, err := NewAttack(aux, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &queryScratch{}
-		var dst []hin.EntityID
-		n := target.NumEntities()
-		for tv := 0; tv < n; tv++ { // warm every buffer past its high-water mark
-			dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv))
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			for tv := 0; tv < 25; tv++ {
-				dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv))
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("cfg %+v: steady-state CSR query allocated %.1f times per 25-query batch", cfg, allocs)
-		}
+	for _, c := range zeroAllocCases(t) {
+		assertQueriesZeroAlloc(t, c.name, hin.FromGraph(c.aux), c.target, c.cfg)
 	}
 }
 
 // runBackendDifferential generates an auxiliary network with one planted
-// community, releases it KDDA-style, and asserts the attack returns
-// identical candidate sets and run fingerprints whether the graphs live on
-// the in-memory or the compact CSR backend.
+// community, releases it KDDA-style, and asserts the attack on the
+// in-memory release returns identical candidate sets and run fingerprints
+// whether the auxiliary graph lives on the in-memory or the compact CSR
+// backend.
 func runBackendDifferential(t *testing.T, auxUsers, targetSize, queries int, seed uint64) {
 	t.Helper()
 	cfgGen := tqq.DefaultConfig(auxUsers, seed)
@@ -78,7 +47,6 @@ func runBackendDifferential(t *testing.T, auxUsers, targetSize, queries int, see
 		truth[i] = tgt.Orig[t0]
 	}
 	csrAux := hin.FromGraph(d.Graph)
-	csrTarget := hin.FromGraph(anon.Graph)
 	for _, cfg := range []Config{
 		{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true},
 		{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true, UseInEdges: true, NeighborTolerance: 0.25},
@@ -93,7 +61,7 @@ func runBackendDifferential(t *testing.T, auxUsers, targetSize, queries int, see
 		}
 		n := min(queries, anon.Graph.NumEntities())
 		for tv := 0; tv < n; tv++ {
-			got := csr.Deanonymize(csrTarget, hin.EntityID(tv))
+			got := csr.Deanonymize(anon.Graph, hin.EntityID(tv))
 			want := mem.Deanonymize(anon.Graph, hin.EntityID(tv))
 			if len(got) != len(want) {
 				t.Fatalf("cfg %+v target %d: csr %v, mem %v", cfg, tv, got, want)
@@ -110,7 +78,7 @@ func runBackendDifferential(t *testing.T, auxUsers, targetSize, queries int, see
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := csr.Run(csrTarget, truth)
+		rc, err := csr.Run(anon.Graph, truth)
 		if err != nil {
 			t.Fatal(err)
 		}

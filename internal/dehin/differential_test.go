@@ -8,6 +8,7 @@ import (
 	"github.com/hinpriv/dehin/internal/anonymize"
 	"github.com/hinpriv/dehin/internal/bipartite"
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/obs/trace"
 	"github.com/hinpriv/dehin/internal/randx"
 	"github.com/hinpriv/dehin/internal/tqq"
 )
@@ -17,7 +18,7 @@ import (
 // auxiliary scan, package-level Hopcroft-Karp, no degree pruning). The
 // differential tests assert the scratch-reusing, signature-pruning engine
 // returns identical candidate sets.
-func refDeanonymize(a *Attack, target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
+func refDeanonymize(a *Attack, target *hin.Graph, tv hin.EntityID) []hin.EntityID {
 	var profile []hin.EntityID
 	for av := 0; av < a.aux.NumEntities(); av++ {
 		if a.em(target, a.aux, tv, hin.EntityID(av)) {
@@ -40,7 +41,7 @@ func refDeanonymize(a *Attack, target hin.GraphBackend, tv hin.EntityID) []hin.E
 	return out
 }
 
-func refLinkMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID, memo map[memoKey]bool) bool {
+func refLinkMatch(a *Attack, target *hin.Graph, n int, tv, av hin.EntityID, memo map[memoKey]bool) bool {
 	key := memoKey{tv, av, int32(n)}
 	if r, ok := memo[key]; ok {
 		return r
@@ -60,17 +61,17 @@ func refLinkMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID
 	return res
 }
 
-func refDirectionMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID, lt hin.LinkTypeID, inEdges bool, memo map[memoKey]bool) bool {
+func refDirectionMatch(a *Attack, target *hin.Graph, n int, tv, av hin.EntityID, lt hin.LinkTypeID, inEdges bool, memo map[memoKey]bool) bool {
 	var tns []hin.EntityID
 	var tws []int32
 	var ans []hin.EntityID
 	var aws []int32
-	tbuf, abuf := &hin.EdgeBuf{}, &hin.EdgeBuf{}
+	abuf := &hin.EdgeBuf{}
 	if inEdges {
-		tns, tws = target.InEdgesBuf(tbuf, lt, tv)
+		tns, tws = target.InEdges(lt, tv)
 		ans, aws = a.aux.InEdgesBuf(abuf, lt, av)
 	} else {
-		tns, tws = target.OutEdgesBuf(tbuf, lt, tv)
+		tns, tws = target.OutEdges(lt, tv)
 		ans, aws = a.aux.OutEdgesBuf(abuf, lt, av)
 	}
 	need := len(tns)
@@ -252,10 +253,18 @@ func TestRunEmptyTarget(t *testing.T) {
 	}
 }
 
-// TestDeanonymizeSteadyStateZeroAlloc drives the internal engine with a
-// pinned scratch (bypassing the pool, whose GC interaction would make the
-// count nondeterministic) and asserts a warmed query allocates nothing.
-func TestDeanonymizeSteadyStateZeroAlloc(t *testing.T) {
+// zeroAllocCase is one input of the steady-state allocation tests.
+type zeroAllocCase struct {
+	name        string
+	aux, target *hin.Graph
+	cfg         Config
+}
+
+// zeroAllocCases covers the plain and the in-edge/tolerant attack, an
+// index keyed on three exact attributes, and attribute values outside
+// int32 (yob shifted by 2^40 on both graphs).
+func zeroAllocCases(t *testing.T) []zeroAllocCase {
+	t.Helper()
 	cfgGen := tqq.DefaultConfig(2000, 29)
 	cfgGen.Communities = []tqq.CommunitySpec{{Size: 200, Density: 0.01}}
 	d, err := tqq.Generate(cfgGen)
@@ -266,28 +275,46 @@ func TestDeanonymizeSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{
-		{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true},
-		{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true, UseInEdges: true, NeighborTolerance: 0.25},
-	} {
-		a, err := NewAttack(d.Graph, cfg)
-		if err != nil {
-			t.Fatal(err)
+	wideAux := shiftAttr(t, d.Graph, tqq.AttrYob, 1<<40)
+	wideTarget := shiftAttr(t, tgt.Graph, tqq.AttrYob, 1<<40)
+	return []zeroAllocCase{
+		{"tqq", d.Graph, tgt.Graph, Config{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true}},
+		{"tqq-in-tolerant", d.Graph, tgt.Graph, Config{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true, UseInEdges: true, NeighborTolerance: 0.25}},
+		{"three-exact", d.Graph, tgt.Graph, Config{MaxDistance: 2, Profile: threeExactProfile(), UseIndex: true}},
+		{"wide-values", wideAux, wideTarget, Config{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true}},
+	}
+}
+
+// assertQueriesZeroAlloc drives the internal engine with a pinned scratch
+// (bypassing the pool, whose GC interaction would make the count
+// nondeterministic) and asserts a warmed query allocates nothing.
+func assertQueriesZeroAlloc(t *testing.T, name string, aux hin.GraphBackend, target *hin.Graph, cfg Config) {
+	t.Helper()
+	a, err := NewAttack(aux, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &queryScratch{}
+	var dst []hin.EntityID
+	n := target.NumEntities()
+	for tv := 0; tv < n; tv++ { // warm every buffer past its high-water mark
+		dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv), trace.Span{})
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for tv := 0; tv < 25; tv++ {
+			dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv), trace.Span{})
 		}
-		s := &queryScratch{}
-		var dst []hin.EntityID
-		n := tgt.Graph.NumEntities()
-		for tv := 0; tv < n; tv++ { // warm every buffer past its high-water mark
-			dst = a.deanonymize(s, dst[:0], tgt.Graph, hin.EntityID(tv))
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			for tv := 0; tv < 25; tv++ {
-				dst = a.deanonymize(s, dst[:0], tgt.Graph, hin.EntityID(tv))
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("cfg %+v: steady-state query allocated %.1f times per 25-query batch", cfg, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("%s: steady-state query allocated %.1f times per 25-query batch", name, allocs)
+	}
+}
+
+// TestDeanonymizeSteadyStateZeroAlloc asserts a warmed query allocates
+// nothing with both graphs in memory.
+func TestDeanonymizeSteadyStateZeroAlloc(t *testing.T) {
+	for _, c := range zeroAllocCases(t) {
+		assertQueriesZeroAlloc(t, c.name, c.aux, c.target, c.cfg)
 	}
 }
 
@@ -337,7 +364,7 @@ func TestProfileSpecValidation(t *testing.T) {
 	}
 	// A custom entity matcher does not consult the profile spec, so a
 	// stale spec next to it stays legal.
-	any := func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool { return true }
+	any := func(tg *hin.Graph, ag hin.GraphBackend, tv, av hin.EntityID) bool { return true }
 	if _, err := NewAttack(aux, Config{EntityMatch: any, Profile: ProfileSpec{ExactAttrs: []int{42}}}); err != nil {
 		t.Fatalf("custom-matcher attack rejected: %v", err)
 	}

@@ -40,56 +40,32 @@ type MatchExplanation struct {
 // (target, candidate) pair at the attack's configured distance. The
 // candidate need not have been accepted; for a rejected candidate the
 // explanation shows exactly which neighbor slots could not be filled.
-func (a *Attack) ExplainMatch(target hin.GraphBackend, tv, av hin.EntityID) *MatchExplanation {
+func (a *Attack) ExplainMatch(target *hin.Graph, tv, av hin.EntityID) *MatchExplanation {
 	ex := &MatchExplanation{Target: tv, Candidate: av, Complete: true}
 	s := a.getScratch()
 	defer a.putScratch(s)
 	a.ensureMemo(s, target)
-	tbuf, abuf := &hin.EdgeBuf{}, &hin.EdgeBuf{}
+	// The frame above the recursion's deepest one, as for a top-level
+	// directionMatch; at distance 0 there is no recursion, so frame 1 is
+	// free too.
+	f := s.frame(max(1, a.cfg.MaxDistance))
 	for _, lt := range a.cfg.LinkTypes {
-		tns, tws := target.OutEdgesBuf(tbuf, lt, tv)
-		ans, aws := a.aux.OutEdgesBuf(abuf, lt, av)
+		tns, tws := target.OutEdges(lt, tv)
 		if len(tns) == 0 {
 			continue
 		}
-		adj := make([][]int32, len(tns))
+		ans, aws := a.auxRow(f, lt, av, false)
+		a.buildCompat(s, f, target, a.cfg.MaxDistance, tns, tws, ans, aws, 0)
+		matchL, _, _ := bipartite.HopcroftKarp(f.graph(len(ans)))
 		for i, tb := range tns {
-			for j, ab := range ans {
-				if !a.lm(tws[i], aws[j]) {
-					continue
-				}
-				if !a.em(target, a.aux, tb, ab) {
-					continue
-				}
-				if a.cfg.MaxDistance > 1 && !a.linkMatch(s, target, a.cfg.MaxDistance-1, tb, ab) {
-					continue
-				}
-				adj[i] = append(adj[i], int32(j))
-			}
-		}
-		matchL, _, _ := bipartite.HopcroftKarp(bipartite.Graph{
-			NLeft:  len(tns),
-			NRight: len(ans),
-			Adj:    adj,
-		})
-		for i, tb := range tns {
-			if matchL[i] == bipartite.NoMatch {
-				ex.Complete = false
-				ex.Unmatched = append(ex.Unmatched, NeighborPairing{
-					LinkType:       lt,
-					TargetNeighbor: tb,
-					TargetStrength: tws[i],
-				})
+			p := NeighborPairing{LinkType: lt, TargetNeighbor: tb, TargetStrength: tws[i]}
+			if j := matchL[i]; j != bipartite.NoMatch {
+				p.AuxNeighbor, p.AuxStrength = ans[j], aws[j]
+				ex.Pairings = append(ex.Pairings, p)
 				continue
 			}
-			j := matchL[i]
-			ex.Pairings = append(ex.Pairings, NeighborPairing{
-				LinkType:       lt,
-				TargetNeighbor: tb,
-				TargetStrength: tws[i],
-				AuxNeighbor:    ans[j],
-				AuxStrength:    aws[j],
-			})
+			ex.Complete = false
+			ex.Unmatched = append(ex.Unmatched, p)
 		}
 	}
 	return ex
@@ -97,7 +73,7 @@ func (a *Attack) ExplainMatch(target hin.GraphBackend, tv, av hin.EntityID) *Mat
 
 // Render writes the explanation with human-readable labels from the two
 // graphs.
-func (ex *MatchExplanation) Render(target, aux hin.GraphBackend) string {
+func (ex *MatchExplanation) Render(target *hin.Graph, aux hin.GraphBackend) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "target %q vs candidate %q: complete=%v, %d matched, %d unmatched\n",
 		target.Label(ex.Target), aux.Label(ex.Candidate), ex.Complete,

@@ -25,48 +25,57 @@ func buildIndexFixture(tb testing.TB, users int) (*tqq.Dataset, *tqq.Target) {
 	return d, tgt
 }
 
-// TestPackedAndStringIndexAgree verifies the packed-uint64 key path and the
-// byte-string fallback produce identical buckets and lookups over the same
-// graph and spec.
-func TestPackedAndStringIndexAgree(t *testing.T) {
-	d, tgt := buildIndexFixture(t, 600)
-	spec := TQQProfile()
-	packed, err := buildProfileIndexOpt(d.Graph, spec, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := buildProfileIndexOpt(d.Graph, spec, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !packed.packed {
-		t.Fatal("two-attribute int32-range spec did not take the packed path")
-	}
-	if str.packed {
-		t.Fatal("forceString index still packed")
-	}
-	n := tgt.Graph.NumEntities()
-	for tv := 0; tv < n; tv++ {
-		p := packed.lookup(tgt.Graph, hin.EntityID(tv))
-		s := str.lookup(tgt.Graph, hin.EntityID(tv))
-		if len(p) != len(s) {
-			t.Fatalf("target %d: packed %d candidates, string %d", tv, len(p), len(s))
-		}
-		for i := range p {
-			if p[i] != s[i] {
-				t.Fatalf("target %d: packed[%d]=%d, string[%d]=%d", tv, i, p[i], i, s[i])
-			}
-		}
+// threeExactProfile keys the index on three exact attributes, a tuple
+// wider than two packed 32-bit halves.
+func threeExactProfile() ProfileSpec {
+	return ProfileSpec{
+		ExactAttrs: []int{tqq.AttrYob, tqq.AttrGender, tqq.AttrNumTags},
+		GrowAttrs:  []int{tqq.AttrTweets},
 	}
 }
 
-// TestPackedIndexOverflowFallsBack pins the wholesale fallback: one
-// auxiliary attribute value outside int32 must push the entire index onto
-// string keys, with lookups still correct.
+// shiftAttr rebuilds g with delta added to scalar attribute ai of every
+// entity - shifting yob by 2^40 on both graphs keeps every match intact
+// while putting every exact tuple outside int32.
+func shiftAttr(tb testing.TB, g *hin.Graph, ai int, delta int64) *hin.Graph {
+	tb.Helper()
+	s := g.Schema()
+	b := hin.NewBuilder(s)
+	for v := 0; v < g.NumEntities(); v++ {
+		id := hin.EntityID(v)
+		attrs := append([]int64(nil), g.Attrs(id)...)
+		attrs[ai] += delta
+		b.AddEntity(g.EntityType(id), g.Label(id), attrs...)
+		for _, sa := range s.EntityType(g.EntityType(id)).SetAttrs {
+			if vals := g.Set(sa, id); len(vals) > 0 {
+				b.SetSet(sa, id, vals)
+			}
+		}
+	}
+	for lt := 0; lt < s.NumLinkTypes(); lt++ {
+		for v := 0; v < g.NumEntities(); v++ {
+			tos, ws := g.OutEdges(hin.LinkTypeID(lt), hin.EntityID(v))
+			for j, to := range tos {
+				if err := b.AddEdge(hin.LinkTypeID(lt), hin.EntityID(v), to, ws[j]); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	}
+	out, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestPackedIndexOverflowFallsBack pins lookups against an auxiliary
+// graph holding an attribute value outside int32: it keys like any other
+// value, and the in-range entities still match.
 func TestPackedIndexOverflowFallsBack(t *testing.T) {
 	s := tqq.TargetSchema()
 	b := hin.NewBuilder(s)
-	b.AddEntity(0, "huge", int64(1)<<40, 1, 100, 2)
+	huge := b.AddEntity(0, "huge", int64(1)<<40, 1, 100, 2)
 	small := b.AddEntity(0, "small", 1980, 1, 100, 2)
 	aux, err := b.Build()
 	if err != nil {
@@ -76,33 +85,29 @@ func TestPackedIndexOverflowFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.packed {
-		t.Fatal("index stayed packed despite a 2^40 attribute value")
-	}
 	tb := hin.NewBuilder(s)
-	tb.AddEntity(0, "t", 1980, 1, 50, 1)
+	tb.AddEntity(0, "t-small", 1980, 1, 50, 1)
+	tb.AddEntity(0, "t-huge", int64(1)<<40, 1, 50, 1)
+	tb.AddEntity(0, "t-absent", int64(1)<<41, 1, 50, 1)
 	target, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := idx.lookup(target, 0)
-	if len(got) != 1 || got[0] != small {
-		t.Fatalf("fallback lookup = %v, want [%d]", got, small)
+	for tv, want := range [][]hin.EntityID{{small}, {huge}, nil} {
+		if got := idx.lookup(target, hin.EntityID(tv)); !slices.Equal(got, want) {
+			t.Fatalf("target %d: lookup = %v, want %v", tv, got, want)
+		}
 	}
 }
 
-// TestPackedIndexOverflowingTargetValue pins the other direction: the
-// auxiliary graph packs fine, a target value overflows int32 - the packed
-// key computation fails and the lookup must report no candidates (correct,
-// since no in-range auxiliary value can equal it).
+// TestPackedIndexOverflowingTargetValue pins the other direction: every
+// auxiliary value fits int32, a target value does not - the lookup must
+// report no candidates, since no in-range auxiliary value can equal it.
 func TestPackedIndexOverflowingTargetValue(t *testing.T) {
 	aux := buildAux(t)
 	idx, err := buildProfileIndex(aux, TQQProfile(), 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !idx.packed {
-		t.Fatal("fixture index unexpectedly unpacked")
 	}
 	tb := hin.NewBuilder(tqq.TargetSchema())
 	tb.AddEntity(0, "t", int64(1)<<40, 1, 50, 1)
@@ -117,8 +122,8 @@ func TestPackedIndexOverflowingTargetValue(t *testing.T) {
 
 // TestIndexBuildWorkerFingerprint pins the parallel build contract: at
 // every worker count the index is identical - same buckets, same entity
-// order within each bucket - on both the packed and string key paths.
-// The fixture spans several build shards so the merge really runs.
+// order within each bucket. The fixture spans several build shards so
+// the merge really runs.
 func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	s := tqq.TargetSchema()
 	rng := randx.New(77)
@@ -131,39 +136,31 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, forceString := range []bool{false, true} {
-		ref, err := buildProfileIndexOpt(aux, TQQProfile(), forceString, 1)
+	for _, spec := range []ProfileSpec{TQQProfile(), threeExactProfile()} {
+		ref, err := buildProfileIndex(aux, spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, runtime.NumCPU(), 0} {
-			got, err := buildProfileIndexOpt(aux, TQQProfile(), forceString, workers)
+			got, err := buildProfileIndex(aux, spec, workers)
 			if err != nil {
-				t.Fatalf("forceString=%v workers=%d: %v", forceString, workers, err)
+				t.Fatalf("spec %+v workers=%d: %v", spec, workers, err)
 			}
-			if got.packed != ref.packed {
-				t.Fatalf("forceString=%v workers=%d: packed=%v, want %v", forceString, workers, got.packed, ref.packed)
-			}
-			if len(got.bucketsP) != len(ref.bucketsP) || len(got.buckets) != len(ref.buckets) {
-				t.Fatalf("forceString=%v workers=%d: bucket count mismatch", forceString, workers)
-			}
-			for k, rb := range ref.bucketsP {
-				if !slices.Equal(got.bucketsP[k], rb) {
-					t.Fatalf("forceString=%v workers=%d: packed bucket %x differs", forceString, workers, k)
-				}
+			if len(got.buckets) != len(ref.buckets) {
+				t.Fatalf("spec %+v workers=%d: %d buckets, want %d", spec, workers, len(got.buckets), len(ref.buckets))
 			}
 			for k, rb := range ref.buckets {
 				if !slices.Equal(got.buckets[k], rb) {
-					t.Fatalf("forceString=%v workers=%d: string bucket %q differs", forceString, workers, k)
+					t.Fatalf("spec %+v workers=%d: bucket %x differs", spec, workers, k)
 				}
 			}
 		}
 	}
 }
 
-func benchmarkLookup(b *testing.B, forceString bool) {
+func benchmarkLookup(b *testing.B, spec ProfileSpec) {
 	d, tgt := buildIndexFixture(b, 5000)
-	idx, err := buildProfileIndexOpt(d.Graph, TQQProfile(), forceString, 1)
+	idx, err := buildProfileIndex(d.Graph, spec, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,5 +172,5 @@ func benchmarkLookup(b *testing.B, forceString bool) {
 	}
 }
 
-func BenchmarkProfileLookupPacked(b *testing.B) { benchmarkLookup(b, false) }
-func BenchmarkProfileLookupString(b *testing.B) { benchmarkLookup(b, true) }
+func BenchmarkProfileLookup(b *testing.B)           { benchmarkLookup(b, TQQProfile()) }
+func BenchmarkProfileLookupThreeExact(b *testing.B) { benchmarkLookup(b, threeExactProfile()) }

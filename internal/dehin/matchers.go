@@ -21,7 +21,9 @@ import (
 // tv - the paper's configurable entity_attribute_match. Implementations
 // must be conservative in one direction only: the true counterpart must
 // always match (no false negatives), or the attack silently loses recall.
-type EntityMatcher func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool
+// The target is always an in-memory release; only the auxiliary graph may
+// live on the compact backend.
+type EntityMatcher func(tg *hin.Graph, ag hin.GraphBackend, tv, av hin.EntityID) bool
 
 // LinkMatcher decides whether an auxiliary link strength is compatible
 // with a target link strength - the paper's link_attribute_match.
@@ -63,26 +65,8 @@ func TQQProfile() ProfileSpec {
 // GrowthMatcher builds the growth-tolerant entity matcher the paper's
 // evaluation uses: exact attributes equal, growable attributes
 // auxiliary >= target, set attributes superset.
-//
-// The closure dispatches once per call to a same-backend specialization
-// when both graphs share a concrete type: the matcher runs per candidate
-// pair in the engine's innermost loop, and the concrete attribute reads
-// inline where the interface calls cannot (worth ~20% of whole-query time
-// on the in-memory backend). Go's gcshape generics would not recover
-// this - all pointer instantiations share one dictionary-dispatched body -
-// so the specializations are spelled out.
 func (ps ProfileSpec) GrowthMatcher() EntityMatcher {
-	return func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
-		switch tgc := tg.(type) {
-		case *hin.Graph:
-			if agc, ok := ag.(*hin.Graph); ok {
-				return ps.growthMatchMem(tgc, agc, tv, av)
-			}
-		case *hin.CSRGraph:
-			if agc, ok := ag.(*hin.CSRGraph); ok {
-				return ps.growthMatchCSR(tgc, agc, tv, av)
-			}
-		}
+	return func(tg *hin.Graph, ag hin.GraphBackend, tv, av hin.EntityID) bool {
 		for _, i := range ps.ExactAttrs {
 			if tg.Attr(tv, i) != ag.Attr(av, i) {
 				return false
@@ -93,60 +77,20 @@ func (ps ProfileSpec) GrowthMatcher() EntityMatcher {
 				return false
 			}
 		}
-		return ps.subsetSetsMatch(tg, ag, tv, av)
-	}
-}
-
-// growthMatchMem is GrowthMatcher's body with both graphs on the
-// in-memory backend; the devirtualized Attr calls inline to two loads.
-// Any edit here must be mirrored in growthMatchCSR and the interface
-// fallback above (TestMatcherSpecializationsAgree pins the equivalence).
-func (ps ProfileSpec) growthMatchMem(tg, ag *hin.Graph, tv, av hin.EntityID) bool {
-	for _, i := range ps.ExactAttrs {
-		if tg.Attr(tv, i) != ag.Attr(av, i) {
-			return false
+		for _, name := range ps.SubsetSets {
+			if !sortedSubset(tg.Set(name, tv), ag.Set(name, av)) {
+				return false
+			}
 		}
+		return true
 	}
-	for _, i := range ps.GrowAttrs {
-		if ag.Attr(av, i) < tg.Attr(tv, i) {
-			return false
-		}
-	}
-	return ps.subsetSetsMatch(tg, ag, tv, av)
-}
-
-// growthMatchCSR is growthMatchMem for the compact backend.
-func (ps ProfileSpec) growthMatchCSR(tg, ag *hin.CSRGraph, tv, av hin.EntityID) bool {
-	for _, i := range ps.ExactAttrs {
-		if tg.Attr(tv, i) != ag.Attr(av, i) {
-			return false
-		}
-	}
-	for _, i := range ps.GrowAttrs {
-		if ag.Attr(av, i) < tg.Attr(tv, i) {
-			return false
-		}
-	}
-	return ps.subsetSetsMatch(tg, ag, tv, av)
-}
-
-// subsetSetsMatch checks the SubsetSets clause (target set a subset of the
-// auxiliary's). Set lookups are per-name map probes on either backend, so
-// this shared tail costs the specializations nothing.
-func (ps ProfileSpec) subsetSetsMatch(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
-	for _, name := range ps.SubsetSets {
-		if !sortedSubset(tg.Set(name, tv), ag.Set(name, av)) {
-			return false
-		}
-	}
-	return true
 }
 
 // ExactMatcher builds a strict matcher: every declared attribute equal and
 // set attributes identical. Appropriate when target and auxiliary are
 // time-synchronized snapshots.
 func (ps ProfileSpec) ExactMatcher() EntityMatcher {
-	return func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
+	return func(tg *hin.Graph, ag hin.GraphBackend, tv, av hin.EntityID) bool {
 		for _, i := range ps.ExactAttrs {
 			if tg.Attr(tv, i) != ag.Attr(av, i) {
 				return false

@@ -27,7 +27,7 @@ type RankedCandidate struct {
 // precision is relatively low ... high reduction rate makes manual
 // investigation of matched candidates possibly practical" - an analyst
 // works the ranked list from the top.
-func (a *Attack) DeanonymizeRanked(target hin.GraphBackend, tv hin.EntityID) []RankedCandidate {
+func (a *Attack) DeanonymizeRanked(target *hin.Graph, tv hin.EntityID) []RankedCandidate {
 	s := a.getScratch()
 	defer a.putScratch(s)
 	profile := a.profileCandidates(s, target, tv)
@@ -52,50 +52,26 @@ func (a *Attack) DeanonymizeRanked(target hin.GraphBackend, tv hin.EntityID) []R
 // cfg.MaxDistance (depth 0 scores every profile candidate 1). It builds
 // into the frame above the linkMatch recursion's deepest use, so the two
 // never collide.
-func (a *Attack) neighborhoodScore(s *queryScratch, target hin.GraphBackend, tv, av hin.EntityID) float64 {
-	if a.cfg.MaxDistance == 0 {
+func (a *Attack) neighborhoodScore(s *queryScratch, target *hin.Graph, tv, av hin.EntityID) float64 {
+	n := a.cfg.MaxDistance
+	if n == 0 {
 		return 1
 	}
+	f := s.frame(n)
 	totalSlots, matchedSlots := 0, 0
-	count := func(lt hin.LinkTypeID, inEdges bool) {
-		f := s.frame(a.cfg.MaxDistance)
-		var tns []hin.EntityID
-		var tws []int32
-		var ans []hin.EntityID
-		var aws []int32
-		if inEdges {
-			tns, tws = target.InEdgesBuf(&f.tbuf, lt, tv)
-			ans, aws = a.aux.InEdgesBuf(&f.abuf, lt, av)
-		} else {
-			tns, tws = target.OutEdgesBuf(&f.tbuf, lt, tv)
-			ans, aws = a.aux.OutEdgesBuf(&f.abuf, lt, av)
-		}
-		if len(tns) == 0 {
-			return
-		}
-		totalSlots += len(tns)
-		f.reset()
-		for i, tb := range tns {
-			for j, ab := range ans {
-				if !a.lm(tws[i], aws[j]) {
-					continue
-				}
-				if !a.emCached(s, target, tb, ab) {
-					continue
-				}
-				if a.cfg.MaxDistance > 1 && !a.linkMatch(s, target, a.cfg.MaxDistance-1, tb, ab) {
-					continue
-				}
-				f.dat = append(f.dat, int32(j))
-			}
-			f.closeRow()
-		}
-		matchedSlots += s.matcher.Match(f.graph(len(ans)))
-	}
 	for _, lt := range a.cfg.LinkTypes {
-		count(lt, false)
-		if a.cfg.UseInEdges {
-			count(lt, true)
+		for _, in := range [2]bool{false, true} {
+			if in && !a.cfg.UseInEdges {
+				break
+			}
+			tns, tws := targetRow(target, lt, tv, in)
+			if len(tns) == 0 {
+				continue
+			}
+			ans, aws := a.auxRow(f, lt, av, in)
+			totalSlots += len(tns)
+			a.buildCompat(s, f, target, n, tns, tws, ans, aws, 0)
+			matchedSlots += s.matcher.Match(f.graph(len(ans)))
 		}
 	}
 	if totalSlots == 0 {

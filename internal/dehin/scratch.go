@@ -17,11 +17,11 @@ type queryScratch struct {
 	// memoTarget is the prepared target graph the memo's entries are
 	// valid for. Entries are pure in (target graph, auxiliary graph,
 	// config), so they survive across queries until the scratch sees a
-	// different graph (see Attack.ensureMemo). Holding the backend also
-	// keeps that graph alive, which is what makes the identity check
-	// sound: a dead graph's address can never be reused while the
-	// scratch still references it.
-	memoTarget hin.GraphBackend
+	// different graph (see Attack.ensureMemo). Holding the graph also
+	// keeps it alive, which is what makes the identity check sound: a
+	// dead graph's address can never be reused while the scratch still
+	// references it.
+	memoTarget *hin.Graph
 	matcher    bipartite.Matcher
 	frames     []adjFrame
 	cand       []hin.EntityID // profile candidate buffer
@@ -58,13 +58,13 @@ type adjFrame struct {
 	off  []int32
 	dat  []int32
 	rows [][]int32
-	// tbuf and abuf are this depth's pooled adjacency decode cursors: the
-	// target and auxiliary rows directionMatch compares. Compact backends
-	// decode varint rows into them (capacity amortizes to the largest row
-	// seen); the in-memory backend returns zero-copy views and leaves
-	// them untouched. One pair per frame keeps the rows of an in-progress
-	// build alive while deeper recursion decodes its own.
-	tbuf hin.EdgeBuf
+	// abuf is this depth's pooled decode cursor for the auxiliary row the
+	// frame compares against. The compact backend decodes varint rows
+	// into it (capacity amortizes to the largest row seen); the in-memory
+	// backend returns zero-copy views and leaves it untouched. One cursor
+	// per frame keeps the row of an in-progress build alive while deeper
+	// recursion decodes its own. Target rows are always zero-copy views
+	// of the in-memory release.
 	abuf hin.EdgeBuf
 }
 
@@ -113,7 +113,7 @@ const (
 	memoMaxDepth    = 255
 )
 
-func memoPackable(target, aux hin.GraphBackend, maxDistance int) bool {
+func memoPackable(target *hin.Graph, aux hin.GraphBackend, maxDistance int) bool {
 	return target.NumEntities() < memoMaxEntities &&
 		aux.NumEntities() < memoMaxEntities &&
 		maxDistance <= memoMaxDepth

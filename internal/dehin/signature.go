@@ -1,10 +1,8 @@
 package dehin
 
 import (
-	"runtime"
-	"sync"
-
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/par"
 )
 
 // degSignature is the auxiliary graph's per-entity, per-link-type degree
@@ -35,45 +33,30 @@ type degSignature struct {
 	in  []int32 // nil unless in-edges are matched
 }
 
-// buildDegSignature precomputes the signature, parallelized across
-// GOMAXPROCS over disjoint entity ranges (each worker writes its own
-// slice segment; no synchronization beyond the WaitGroup).
-func buildDegSignature(aux hin.GraphBackend, lts []hin.LinkTypeID, useIn bool) *degSignature {
+// degShardRows is how many auxiliary entities one signature-build task
+// covers. Each task writes only its own entities' slots, so the signature
+// is identical at any worker count.
+const degShardRows = 1 << 14
+
+// buildDegSignature precomputes the signature on a pool of workers
+// (0 = GOMAXPROCS).
+func buildDegSignature(aux hin.GraphBackend, lts []hin.LinkTypeID, useIn bool, workers int) *degSignature {
 	n := aux.NumEntities()
 	L := len(lts)
 	sig := &degSignature{lts: lts, out: make([]int32, n*L)}
 	if useIn {
 		sig.in = make([]int32, n*L)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				for k, lt := range lts {
-					sig.out[v*L+k] = int32(aux.OutDegree(lt, hin.EntityID(v)))
-					if sig.in != nil {
-						sig.in[v*L+k] = int32(aux.InDegree(lt, hin.EntityID(v)))
-					}
+	par.Sweep(workers, n, degShardRows, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			for k, lt := range lts {
+				sig.out[v*L+k] = int32(aux.OutDegree(lt, hin.EntityID(v)))
+				if sig.in != nil {
+					sig.in[v*L+k] = int32(aux.InDegree(lt, hin.EntityID(v)))
 				}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return sig
 }
 
@@ -106,7 +89,7 @@ func (d *degSignature) admits(needs []int32, av hin.EntityID) bool {
 // constrains nothing.
 //
 //hin:hot
-func (a *Attack) computeNeeds(s *queryScratch, target hin.GraphBackend, tv hin.EntityID) {
+func (a *Attack) computeNeeds(s *queryScratch, target *hin.Graph, tv hin.EntityID) {
 	L := len(a.cfg.LinkTypes)
 	sz := L
 	if a.cfg.UseInEdges {

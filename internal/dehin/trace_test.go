@@ -96,9 +96,8 @@ func TestRunTraceSpans(t *testing.T) {
 func TestSingleQueryPathsNeverTraced(t *testing.T) {
 	d, tgt := traceFixture(t)
 	tr := trace.New(trace.DefaultCapacity)
-	a, err := NewAttack(d.Graph, Config{
-		MaxDistance: 2, Profile: TQQProfile(), UseIndex: true, Trace: tr,
-	})
+	cfg := Config{MaxDistance: 2, Profile: TQQProfile(), UseIndex: true, Trace: tr}
+	a, err := NewAttack(d.Graph, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +115,7 @@ func TestSingleQueryPathsNeverTraced(t *testing.T) {
 		t.Fatalf("DeanonymizeAppend recorded %d spans; single-query paths must stay untraced", tr.Len())
 	}
 
-	// Allocation check via the pinned-scratch internal path, like
-	// TestDeanonymizeSteadyStateZeroAlloc (the sync.Pool's GC interaction
-	// would make the public-path count nondeterministic).
-	s := &queryScratch{}
-	for tv := 0; tv < n; tv++ {
-		dst = a.deanonymize(s, dst[:0], prepared, hin.EntityID(tv))
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		for tv := 0; tv < 25; tv++ {
-			dst = a.deanonymize(s, dst[:0], prepared, hin.EntityID(tv))
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state query with a configured tracer allocated %.1f times per 25-query batch", allocs)
-	}
+	// A configured tracer must not cost the untraced query path an
+	// allocation either.
+	assertQueriesZeroAlloc(t, "configured tracer", d.Graph, prepared, cfg)
 }

@@ -1,7 +1,5 @@
 package hin
 
-import "sort"
-
 // EdgeBuf is a reusable decode buffer for adjacency rows. Backends that
 // store adjacency in compressed form decode into it; backends with native
 // in-memory rows ignore it and return zero-copy views. Callers own the
@@ -12,9 +10,12 @@ type EdgeBuf struct {
 	Ws  []int32
 }
 
-// GraphBackend is the read surface the attack, risk, and statistics layers
-// consume. *Graph (in-memory CSR built by Builder) and *CSRGraph (compact
-// varint-compressed CSR, optionally mmap-backed) both implement it.
+// GraphBackend is the read surface the risk sweep, the statistics, and
+// the attack's auxiliary side consume. *Graph (in-memory CSR built by
+// Builder) and *CSRGraph (compact varint-compressed CSR, optionally
+// mmap-backed) both implement it. Released targets, generator output and
+// everything written to disk stay *Graph; only the auxiliary crawl needs
+// the compact backend.
 //
 // Semantics every implementation must honor:
 //
@@ -27,48 +28,20 @@ type EdgeBuf struct {
 type GraphBackend interface {
 	Schema() *Schema
 	NumEntities() int
-	NumEdges(lt LinkTypeID) int64
 	NumEdgesTotal() int64
 
 	EntityType(v EntityID) EntityTypeID
 	Label(v EntityID) string
-	NumAttrs(v EntityID) int
 	Attr(v EntityID, i int) int64
-	// AppendAttrs appends all scalar attributes of v to dst and returns
-	// the extended slice (the interface-friendly form of Graph.Attrs).
-	AppendAttrs(dst []int64, v EntityID) []int64
 	Set(name string, v EntityID) []int32
-	// SetNames returns the names of the graph's set columns, ascending.
-	SetNames() []string
 
 	OutDegree(lt LinkTypeID, v EntityID) int
 	InDegree(lt LinkTypeID, v EntityID) int
-	OutDegrees(lt LinkTypeID, dst []int32) []int32
-	InDegrees(lt LinkTypeID, dst []int32) []int32
-
 	OutEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]EntityID, []int32)
 	InEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]EntityID, []int32)
-	FindEdge(lt LinkTypeID, from, to EntityID) (int32, bool)
-
-	EntitiesOfType(t EntityTypeID) []EntityID
 }
 
 var _ GraphBackend = (*Graph)(nil)
-
-// AppendAttrs appends all scalar attributes of v to dst.
-func (g *Graph) AppendAttrs(dst []int64, v EntityID) []int64 {
-	return append(dst, g.Attrs(v)...)
-}
-
-// SetNames returns the names of the graph's set columns, ascending.
-func (g *Graph) SetNames() []string {
-	names := make([]string, 0, len(g.sets))
-	for name := range g.sets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // OutEdgesBuf returns v's out-row via lt. The in-memory backend ignores
 // buf and returns zero-copy views.

@@ -1,9 +1,6 @@
 package hin
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "encoding/binary"
 
 // csrAdj is the compact adjacency of one link type in one direction: the
 // concatenated varint-encoded rows (see adjcodec.go) and the (n+1) row
@@ -111,16 +108,6 @@ func (g *CSRGraph) Attr(v EntityID, i int) int64 {
 	return g.attrDict[code]
 }
 
-// AppendAttrs appends all scalar attributes of v to dst.
-func (g *CSRGraph) AppendAttrs(dst []int64, v EntityID) []int64 {
-	lo, hi := g.attrSpan(v)
-	for i := lo; i < hi; i++ {
-		code := binary.LittleEndian.Uint32(g.attrCodes[i*4:])
-		dst = append(dst, g.attrDict[code])
-	}
-	return dst
-}
-
 // Set returns the sorted values of the named multi-valued attribute of
 // entity v, or nil if the entity has none.
 func (g *CSRGraph) Set(name string, v EntityID) []int32 {
@@ -129,16 +116,6 @@ func (g *CSRGraph) Set(name string, v EntityID) []int32 {
 		return nil
 	}
 	return col.data[col.off[v]:col.off[v+1]]
-}
-
-// SetNames returns the names of the graph's set columns, ascending.
-func (g *CSRGraph) SetNames() []string {
-	names := make([]string, 0, len(g.sets))
-	for name := range g.sets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // OutDegree returns the number of out-edges of v via link type lt.
@@ -153,23 +130,6 @@ func (g *CSRGraph) OutDegree(lt LinkTypeID, v EntityID) int {
 //hin:hot
 func (g *CSRGraph) InDegree(lt LinkTypeID, v EntityID) int {
 	return adjRowDegree(g.rev[lt].row(v))
-}
-
-// OutDegrees appends the out-degree of every entity via lt to dst.
-func (g *CSRGraph) OutDegrees(lt LinkTypeID, dst []int32) []int32 {
-	return degreesFromRows(&g.fwd[lt], g.n, dst)
-}
-
-// InDegrees is OutDegrees over the reverse adjacency.
-func (g *CSRGraph) InDegrees(lt LinkTypeID, dst []int32) []int32 {
-	return degreesFromRows(&g.rev[lt], g.n, dst)
-}
-
-func degreesFromRows(c *csrAdj, n int, dst []int32) []int32 {
-	for v := 0; v < n; v++ {
-		dst = append(dst, int32(adjRowDegree(c.row(EntityID(v)))))
-	}
-	return dst
 }
 
 // OutEdgesBuf decodes v's out-row via lt into buf and returns views. The
@@ -187,44 +147,6 @@ func (g *CSRGraph) OutEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]Entit
 func (g *CSRGraph) InEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]EntityID, []int32) {
 	c := &g.rev[lt]
 	return decodeAdjRowFast(c.row(v), c.weighted, buf)
-}
-
-// FindEdge looks up the edge from -> to of link type lt by scanning the
-// encoded row with early exit (rows are ascending).
-func (g *CSRGraph) FindEdge(lt LinkTypeID, from, to EntityID) (int32, bool) {
-	c := &g.fwd[lt]
-	dat := c.row(from)
-	deg, p := uvarintAt(dat, 0)
-	prev := int64(-1)
-	for i := uint64(0); i < deg; i++ {
-		delta, np := uvarintAt(dat, p)
-		p = np
-		prev += int64(delta)
-		w := int32(1)
-		if c.weighted {
-			uw, np := uvarintAt(dat, p)
-			p = np
-			w = int32(uw)
-		}
-		if prev == int64(to) {
-			return w, true
-		}
-		if prev > int64(to) {
-			return 0, false
-		}
-	}
-	return 0, false
-}
-
-// EntitiesOfType returns the ids of all entities with type t, ascending.
-func (g *CSRGraph) EntitiesOfType(t EntityTypeID) []EntityID {
-	var out []EntityID
-	for v := 0; v < g.n; v++ {
-		if g.etype[v] == byte(t) {
-			out = append(out, EntityID(v))
-		}
-	}
-	return out
 }
 
 // appendU64 appends one little-endian uint64 to dst.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
 	"sync/atomic"
 
 	"github.com/hinpriv/dehin/internal/par"
@@ -208,15 +209,15 @@ func marshalSchema(s *Schema) ([]byte, error) {
 	return json.Marshal(sj)
 }
 
-// WriteCSRFile persists any backend as a version-1 CSR file. It streams
-// the adjacency sections row by row through one reused decode buffer;
-// only the O(n) offset columns are materialized in memory.
+// WriteCSRFile persists g as a version-1 CSR file. It streams the
+// adjacency sections row by row; only the O(n) offset columns are
+// materialized in memory.
 //
 // The file is written to a temporary sibling of path and renamed over
 // path only once complete and synced, so the replacement is atomic: a
 // reader that has path mmap'd keeps its old bytes, and a failed write
 // leaves any previous file at path untouched.
-func WriteCSRFile(path string, g GraphBackend) (err error) {
+func WriteCSRFile(path string, g *Graph) (err error) {
 	sf, err := newSectionFile(path)
 	if err != nil {
 		return err
@@ -237,7 +238,7 @@ func WriteCSRFile(path string, g GraphBackend) (err error) {
 
 	n := g.NumEntities()
 	L := s.NumLinkTypes()
-	setNames := g.SetNames()
+	setNames := sortedSetNames(g.sets)
 	meta := make([]byte, 0, 24)
 	meta = appendU64(meta, uint64(n))
 	meta = appendU64(meta, uint64(L))
@@ -295,11 +296,9 @@ func WriteCSRFile(path string, g GraphBackend) (err error) {
 	attrOff := make([]byte, 0, (n+1)*8)
 	attrOff = appendU64(attrOff, 0)
 	var attrCodes []byte
-	var attrScratch []int64
 	codes := 0
 	for v := 0; v < n; v++ {
-		attrScratch = g.AppendAttrs(attrScratch[:0], EntityID(v))
-		for _, a := range attrScratch {
+		for _, a := range g.Attrs(EntityID(v)) {
 			attrCodes = binary.LittleEndian.AppendUint32(attrCodes, intern.code(a))
 			codes++
 		}
@@ -349,7 +348,6 @@ func WriteCSRFile(path string, g GraphBackend) (err error) {
 
 	// Adjacency: per link type, fwd then rev. dat streams row by row
 	// while the rowOff column accumulates in memory.
-	ebuf := &EdgeBuf{}
 	rowOff := make([]byte, 0, (n+1)*8)
 	enc := make([]byte, 0, 4096)
 	for lt := 0; lt < L; lt++ {
@@ -363,9 +361,9 @@ func WriteCSRFile(path string, g GraphBackend) (err error) {
 				var tos []EntityID
 				var ws []int32
 				if dir == 0 {
-					tos, ws = g.OutEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
+					tos, ws = g.OutEdges(LinkTypeID(lt), EntityID(v))
 				} else {
-					tos, ws = g.InEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
+					tos, ws = g.InEdges(LinkTypeID(lt), EntityID(v))
 				}
 				enc = appendAdjRow(enc[:0], tos, ws, weighted)
 				total += uint64(len(enc))
@@ -380,6 +378,17 @@ func WriteCSRFile(path string, g GraphBackend) (err error) {
 		return err
 	}
 	return os.Rename(sf.f.Name(), path)
+}
+
+// sortedSetNames returns the names of a graph's set columns, ascending:
+// the order the file's set section lists them in.
+func sortedSetNames(sets map[string]*setCol) []string {
+	names := make([]string, 0, len(sets))
+	for name := range sets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // CSRFile is an opened on-disk CSR graph: the decoded CSRGraph plus the

@@ -82,14 +82,10 @@ func StrengthCardinality(g GraphBackend, lt LinkTypeID) int {
 // and its count. The re-configured DeHIN of Section 6.2 removes all links
 // carrying the network-wide majority strength to strip Complete Graph
 // Anonymity's fake edges. ok is false if the link type has no edges.
-func MajorityStrength(g GraphBackend, lt LinkTypeID) (w int32, count int64, ok bool) {
+func MajorityStrength(g *Graph, lt LinkTypeID) (w int32, count int64, ok bool) {
 	counts := make(map[int32]int64)
-	buf := &EdgeBuf{}
-	for v := 0; v < g.NumEntities(); v++ {
-		_, ws := g.OutEdgesBuf(buf, lt, EntityID(v))
-		for _, x := range ws {
-			counts[x]++
-		}
+	for _, x := range g.fwd[lt].w {
+		counts[x]++
 	}
 	for x, c := range counts {
 		if !ok || c > count || (c == count && x < w) {

@@ -99,15 +99,6 @@ func NetworkRisk(g hin.GraphBackend, cfg SignatureConfig) (float64, error) {
 	return DatasetRisk(sigs, nil), nil
 }
 
-// NetworkCardinality computes C(T*_G) at the configured distance.
-func NetworkCardinality(g hin.GraphBackend, cfg SignatureConfig) (int, error) {
-	sigs, err := Signatures(g, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return Cardinality(sigs), nil
-}
-
 // Signature hashing. The seed is the FNV-1a offset basis (kept from the
 // original byte-at-a-time implementation), but each 64-bit word now folds
 // in with three multiplies of murmur3-style word mixing instead of eight

@@ -188,7 +188,7 @@ func TestRiskMonotoneInDistance(t *testing.T) {
 		lts := []hin.LinkTypeID{0, 1, 2, 3}
 		prev := -1
 		for n := 0; n <= 3; n++ {
-			c, err := NetworkCardinality(d.Graph, SignatureConfig{
+			c, err := networkCardinality(d.Graph, SignatureConfig{
 				MaxDistance: n,
 				LinkTypes:   lts,
 				EntityAttrs: []int{tqq.AttrNumTags},
@@ -216,7 +216,7 @@ func TestRiskMonotoneInLinkTypes(t *testing.T) {
 	}
 	prev := -1
 	for _, lts := range subsets {
-		c, err := NetworkCardinality(d.Graph, SignatureConfig{
+		c, err := networkCardinality(d.Graph, SignatureConfig{
 			MaxDistance: 2,
 			LinkTypes:   lts,
 			EntityAttrs: []int{tqq.AttrNumTags},
@@ -262,4 +262,14 @@ func BenchmarkSignaturesDistance2(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// networkCardinality computes C(T*_G) at the configured distance straight
+// from Signatures, the oracle the combined sweep is checked against.
+func networkCardinality(g hin.GraphBackend, cfg SignatureConfig) (int, error) {
+	sigs, err := Signatures(g, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return Cardinality(sigs), nil
 }

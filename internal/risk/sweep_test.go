@@ -89,12 +89,12 @@ func TestNetworkSweepMatchesPerDistanceCalls(t *testing.T) {
 		if res.Risk[d] != r {
 			t.Fatalf("distance %d: sweep risk %g != NetworkRisk %g", d, res.Risk[d], r)
 		}
-		card, err := NetworkCardinality(g, c)
+		card, err := networkCardinality(g, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Cardinality[d] != card {
-			t.Fatalf("distance %d: sweep cardinality %d != NetworkCardinality %d", d, res.Cardinality[d], card)
+			t.Fatalf("distance %d: sweep cardinality %d != networkCardinality %d", d, res.Cardinality[d], card)
 		}
 		if math.Abs(res.Risk[d]-float64(card)/float64(g.NumEntities())) > 1e-12 {
 			t.Fatalf("distance %d: risk %g != C/N (Theorem 1)", d, res.Risk[d])

@@ -195,7 +195,8 @@ func BenchmarkPaperscaleLoad(b *testing.B) {
 // BenchmarkPaperscaleAttack runs the full DeHIN attack - profile index
 // over all 2.3M auxiliary users, degree signature, then de-anonymizing
 // every user of a released 1000-user community target - with the
-// auxiliary network on the loaded CSR backend.
+// auxiliary network on the loaded CSR backend and the in-memory release
+// as target.
 func BenchmarkPaperscaleAttack(b *testing.B) {
 	paperscaleGate(b)
 	ds := psDataset(b)
@@ -212,7 +213,6 @@ func BenchmarkPaperscaleAttack(b *testing.B) {
 	for i, t0 := range anon.ToOrig {
 		truth[i] = tgt.Orig[t0]
 	}
-	target := hin.FromGraph(anon.Graph)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := dehin.NewAttack(aux, dehin.Config{
@@ -223,7 +223,7 @@ func BenchmarkPaperscaleAttack(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := a.Run(target, truth)
+		res, err := a.Run(anon.Graph, truth)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -294,8 +294,8 @@ func TestPaperscaleSmoke(t *testing.T) {
 			aux.NumEntities(), aux.NumEdgesTotal(), g.NumEntities(), g.NumEdgesTotal())
 	}
 
-	// Attack a released community target on both backends; outcomes must
-	// be identical.
+	// Attack the in-memory release of a community with the auxiliary graph
+	// on each backend; outcomes must be identical.
 	tgt, err := tqq.CommunityTarget(ds, 0, randx.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestPaperscaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rCSR, err := aCSR.Run(hin.FromGraph(anon.Graph), truth)
+	rCSR, err := aCSR.Run(anon.Graph, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,9 +349,10 @@ func TestPaperscaleSmoke(t *testing.T) {
 	}
 }
 
-// BenchmarkDeanonymizeSingleCSR is BenchmarkDeanonymizeSingle with both
-// graphs on the compact CSR backend: one steady-state distance-2 query
-// decoding varint adjacency rows through the pooled frame cursors.
+// BenchmarkDeanonymizeSingleCSR is BenchmarkDeanonymizeSingle with the
+// auxiliary graph on the compact CSR backend and the in-memory release as
+// target, the pair production runs: one steady-state distance-2 query
+// decoding varint auxiliary rows through the pooled frame cursors.
 // allocs/op must stay 0 (the deterministic twin lives in internal/dehin's
 // TestDeanonymizeSteadyStateZeroAllocCSR).
 func BenchmarkDeanonymizeSingleCSR(b *testing.B) {
@@ -360,7 +361,7 @@ func BenchmarkDeanonymizeSingleCSR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tg := hin.FromGraph(targets[0].Graph)
+	tg := targets[0].Graph
 	aux := hin.FromGraph(w.Dataset.Graph)
 	a, err := dehin.NewAttack(aux, dehin.Config{
 		MaxDistance: 2,
